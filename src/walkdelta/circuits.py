@@ -130,10 +130,6 @@ class Circuit:
     def __post_init__(self):
         validate(self)
 
-    @property
-    def gate_count(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
 
 def validate(circuit: Circuit) -> None:
     if circuit.n_qubits < 1:

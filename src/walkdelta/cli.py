@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import estimator, spectral
-from .circuits import CircuitError, overlap, parse_circuit
+from .circuits import CircuitError, parse_circuit
 from .clock import CompiledInstance, CompileError, compile_circuit
 from .rewriting import BudgetExceeded, RewriteError, ScaleRangeError
 from .verifier import ReachableGraph, VerifyError, exact_deltas, verify
@@ -55,6 +55,23 @@ def _load_circuit(path: str):
         return parse_circuit(fh.read())
 
 
+def rule_count(graph: ReachableGraph) -> int:
+    """Distinct (window, replacement) pairs that the component's edges use.
+
+    The strings of an edge differ between positions lo and hi; each window
+    j of width 3 that covers both, hi - 2 <= j <= lo, gives one pair.
+    """
+    pairs = set()
+    for s, row in zip(graph.strings, graph.adj):
+        for k in row:
+            t = graph.strings[k]
+            diff = [p for p, (a, b) in enumerate(zip(s, t)) if a != b]
+            lo, hi = diff[0], diff[-1]
+            for j in range(max(0, hi - 2), min(lo, len(s) - 3) + 1):
+                pairs.add((s[j : j + 3], t[j : j + 3]))
+    return len(pairs)
+
+
 def cmd_compile(args) -> int:
     t0 = time.time()
     circuit = _load_circuit(args.circuit)
@@ -63,23 +80,12 @@ def cmd_compile(args) -> int:
         instance = compile_circuit(circuit, x, m_mode=args.m_mode)
     except (CompileError, spectral.SpectralError) as exc:
         raise ResourceFailure(str(exc))
-    instance.save(args.out)
     graph = ReachableGraph(
         instance.system,
         [instance.s, instance.t, instance.t_prime],
         max_vertices=args.vertex_budget,
     )
-    rule_count = len(
-        {
-            (s[j : j + 3], graph.strings[k][j : j + 3])
-            for i, s in enumerate(graph.strings)
-            for k in graph.adj[i]
-            for j in range(len(s) - 2)
-            if s[: j] == graph.strings[k][: j]
-            and s[j + 3 :] == graph.strings[k][j + 3 :]
-            and s[j : j + 3] != graph.strings[k][j : j + 3]
-        }
-    )
+    instance.save(args.out)
     _emit(
         "compile",
         {"circuit": args.circuit, "input": args.input, "m_mode": args.m_mode},
@@ -93,7 +99,7 @@ def cmd_compile(args) -> int:
             "alphabet_size": len(instance.system.alphabet.tokens),
             "window": instance.system.window,
             "reachable_vertices": len(graph),
-            "rule_count": rule_count,
+            "rule_count": rule_count(graph),
         },
         True,
         t0,
@@ -167,20 +173,14 @@ def cmd_estimate(args) -> int:
     t0 = time.time()
     instance = CompiledInstance.load(args.instance)
     m = args.m if args.m is not None else instance.m
-    graph = estimator.reachable_component(instance, max_vertices=args.vertex_budget)
-    state_plus, state_minus = estimator.build_states(instance)
-    plus = estimator.spectral_measure(graph, state_plus)
-    minus = estimator.spectral_measure(graph, state_minus)
-    exact = estimator.delta_moment(plus, minus, m, instance.c)
-    est = estimator.noisy_estimate(
-        plus,
-        minus,
+    est, exact, vertices = estimator.estimate_with_noise(
+        instance,
         m,
-        instance.c,
         args.eta,
         args.theta,
         args.samples,
         seed=args.seed,
+        max_vertices=args.vertex_budget,
     )
     sign = (est.value > 0) - (est.value < 0)
     decided = abs(est.value) > est.error_bound
@@ -202,7 +202,7 @@ def cmd_estimate(args) -> int:
             "error_bound": est.error_bound,
             "sign": sign,
             "decided": decided,
-            "vertices": len(graph),
+            "vertices": vertices,
         },
         None,
         t0,
@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="walkdelta",
         description="Compile circuits to rewriting systems and decide walk-count signs.",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (reserved)")
     parser.add_argument("--schema-version", default=SCHEMA, help="expected output schema")
     sub = parser.add_subparsers(dest="command", required=True)
 

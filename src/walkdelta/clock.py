@@ -161,17 +161,13 @@ def execution_class(p0: int, p1: int, dm: int, d0: int, d1: int) -> int:
     return X_NONE
 
 
+def _tracks(cells: tuple[int, int, int]) -> list[list[int]]:
+    """The program, data, aux and sim tracks of a window, one list each."""
+    return [list(track) for track in zip(*map(split_cell, cells))]
+
+
 def _images(cells: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
-    p = []
-    d = []
-    a = []
-    s = []
-    for c in cells:
-        cp, cd, ca, cs = split_cell(c)
-        p.append(cp)
-        d.append(cd)
-        a.append(ca)
-        s.append(cs)
+    p, d, a, s = _tracks(cells)
 
     xc = execution_class(p[1], p[2], d[0], d[1], d[2])
     if xc == X_BOUNDARY:
@@ -252,16 +248,7 @@ def _backward_images(cells: tuple[int, int, int]) -> tuple[tuple[int, int, int],
     the aux/sim movement, then enumerating the few tracks the execution phase
     can change; each candidate is confirmed by a forward check.
     """
-    p = []
-    d = []
-    a = []
-    s = []
-    for c in cells:
-        cp, cd, ca, cs = split_cell(c)
-        p.append(cp)
-        d.append(cd)
-        a.append(ca)
-        s.append(cs)
+    p, d, a, s = _tracks(cells)
 
     out = []
     seen = set()
@@ -309,15 +296,7 @@ class ClockSystem:
         self.alphabet = clock_alphabet()
 
     def neighbors(self, s: tuple[int, ...]) -> set[tuple[int, ...]]:
-        out: set[tuple[int, ...]] = set()
-        for j in range(len(s) - 2):
-            triple = s[j : j + 3]
-            for img in forward_images(triple):
-                out.add(s[:j] + img + s[j + 3 :])
-            for img in backward_images(triple):
-                out.add(s[:j] + img + s[j + 3 :])
-        out.discard(s)
-        return out
+        return set(self.weighted_neighbors(s))
 
     def weighted_neighbors(self, s: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """Neighbors with the number of distinct window derivations."""

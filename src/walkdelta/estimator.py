@@ -14,6 +14,7 @@ inside [-1, 1] by the growth promise.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,24 +44,21 @@ class SpectralMeasure:
     eigenvalues: np.ndarray
     probabilities: np.ndarray
 
-    def clipped_moment(self, m: int, c: float) -> float:
-        """E[f(lambda)] with f the clipped power map, in units of c^m."""
-        f = np.array([clipped_power(x, m, c) for x in self.eigenvalues])
-        return float(self.probabilities @ f)
-
 
 def reachable_component(
     instance: CompiledInstance, max_vertices: int = MAX_DENSE_VERTICES
 ) -> ReachableGraph:
     seeds = [instance.s, instance.t, instance.t_prime]
-    graph = ReachableGraph(instance.system, seeds, max_vertices=max_vertices)
-    if len(graph) > max_vertices:
-        raise EstimateError(f"component has {len(graph)} vertices, guard is {max_vertices}")
-    return graph
+    return ReachableGraph(instance.system, seeds, max_vertices=max_vertices)
 
 
-def spectral_measure(graph: ReachableGraph, state: dict) -> SpectralMeasure:
-    """Diagonalize the 0/1 adjacency restricted to the component."""
+# eigenpairs of each component's adjacency, dropped with the component; the
+# two spectral measures of one estimate share one eigendecomposition
+_eigenpairs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _diagonalize(graph: ReachableGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the 0/1 adjacency restricted to the component."""
     n = len(graph)
     if n > MAX_DENSE_VERTICES:
         raise EstimateError(f"component has {n} vertices, guard is {MAX_DENSE_VERTICES}")
@@ -70,8 +68,16 @@ def spectral_measure(graph: ReachableGraph, state: dict) -> SpectralMeasure:
             a[i, j] = 1.0
     if not np.array_equal(a, a.T):
         raise EstimateError("adjacency restricted to component is not symmetric")
-    vals, vecs = np.linalg.eigh(a)
-    amp = np.zeros(n)
+    return np.linalg.eigh(a)
+
+
+def spectral_measure(graph: ReachableGraph, state: dict) -> SpectralMeasure:
+    """The state's spectral measure under the component's adjacency."""
+    pairs = _eigenpairs.get(graph)
+    if pairs is None:
+        pairs = _eigenpairs[graph] = _diagonalize(graph)
+    vals, vecs = pairs
+    amp = np.zeros(len(graph))
     for s, coef in state.items():
         idx = graph.index.get(s)
         if idx is None:
@@ -203,6 +209,27 @@ def noisy_estimate(
     return NoisyEstimate(value=value, bias_bound=bias, halfwidth=hw, samples=samples)
 
 
+def estimate_with_noise(
+    instance: CompiledInstance,
+    m: int,
+    eta: float,
+    theta: float,
+    samples: int,
+    seed: int = 0,
+    delta: float = 0.05,
+    max_vertices: int = MAX_DENSE_VERTICES,
+) -> tuple[NoisyEstimate, float, int]:
+    """Full pipeline under a given noise model.
+
+    Returns the estimate, the exact clipped moment and the component's size.
+    """
+    graph = reachable_component(instance, max_vertices=max_vertices)
+    plus, minus = (spectral_measure(graph, state) for state in build_states(instance))
+    exact = delta_moment(plus, minus, m, instance.c)
+    est = noisy_estimate(plus, minus, m, instance.c, eta, theta, samples, seed=seed, delta=delta)
+    return est, exact, len(graph)
+
+
 def estimate_instance(
     instance: CompiledInstance,
     m: int | None = None,
@@ -211,15 +238,15 @@ def estimate_instance(
     seed: int = 0,
     max_vertices: int = MAX_DENSE_VERTICES,
 ) -> tuple[NoisyEstimate, float]:
-    """Full pipeline on one instance; returns the estimate and exact moment."""
+    """Full pipeline on one instance; returns the estimate and exact moment.
+
+    The noise model is the one planned for accuracy eps.
+    """
     if m is None:
         m = instance.m
-    graph = reachable_component(instance, max_vertices=max_vertices)
-    state_plus, state_minus = build_states(instance)
-    plus = spectral_measure(graph, state_plus)
-    minus = spectral_measure(graph, state_minus)
-    exact = delta_moment(plus, minus, m, instance.c)
     eta, theta = plan_noise(eps, m, instance.c)
     n = hoeffding_samples(eps, delta)
-    est = noisy_estimate(plus, minus, m, instance.c, eta, theta, n, seed=seed, delta=delta)
+    est, exact, _ = estimate_with_noise(
+        instance, m, eta, theta, n, seed=seed, delta=delta, max_vertices=max_vertices
+    )
     return est, exact

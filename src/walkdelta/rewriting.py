@@ -11,8 +11,7 @@ floating point.
 from __future__ import annotations
 
 import math
-import sys as _sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -127,19 +126,12 @@ class RewritingSystem:
         Each neighbor appears once even when derivable at several positions;
         the adjacency matrix is 0/1.
         """
-        if len(s) < self.window:
-            raise RewriteError(f"string shorter than window: {len(s)} < {self.window}")
-        out: set[tuple[int, ...]] = set()
-        for width, by_lhs in self._index.items():
-            for p in range(len(s) - width + 1):
-                sub = s[p : p + width]
-                for rhs in by_lhs.get(sub, ()):
-                    out.add(s[:p] + rhs + s[p + width :])
-        out.discard(s)
-        return out
+        return set(self.weighted_neighbors(s))
 
     def weighted_neighbors(self, s: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """Neighbors with the number of distinct window/rule derivations."""
+        if len(s) < self.window:
+            raise RewriteError(f"string shorter than window: {len(s)} < {self.window}")
         out: dict[tuple[int, ...], int] = {}
         for width, by_lhs in self._index.items():
             for p in range(len(s) - width + 1):
@@ -179,39 +171,42 @@ class RewritingSystem:
 class WalkSpace:
     """String interning plus a per-vertex adjacency cache.
 
-    Walk frontiers revisit the same strings every step; interning keys all
-    maps by small integers and the adjacency of each vertex is generated
-    once.
+    The package's one interned graph; ``verifier.ReachableGraph`` expands it
+    to a whole component. Walk frontiers revisit the same strings every
+    step; interning keys all maps by small integers and the adjacency of
+    each vertex is generated once, on first use. ``strings[i]`` is the
+    string of id i, ``index`` maps it back, and ``adj[i]`` holds the sorted
+    neighbor ids of i, or None until first asked for.
     """
 
     def __init__(self, system):
         self.system = system
-        self._ids: dict[tuple[int, ...], int] = {}
-        self._strings: list[tuple[int, ...]] = []
-        self._adj: list[tuple[int, ...] | None] = []
+        self.index: dict[tuple[int, ...], int] = {}
+        self.strings: list[tuple[int, ...]] = []
+        self.adj: list[tuple[int, ...] | None] = []
 
     def intern(self, s: tuple[int, ...]) -> int:
-        sid = self._ids.get(s)
+        sid = self.index.get(s)
         if sid is None:
-            sid = len(self._strings)
-            self._ids[s] = sid
-            self._strings.append(s)
-            self._adj.append(None)
+            sid = len(self.strings)
+            self.index[s] = sid
+            self.strings.append(s)
+            self.adj.append(None)
         return sid
 
     def string(self, sid: int) -> tuple[int, ...]:
-        return self._strings[sid]
+        return self.strings[sid]
 
     def adjacency(self, sid: int) -> tuple[int, ...]:
-        cached = self._adj[sid]
+        cached = self.adj[sid]
         if cached is None:
-            nbrs = self.system.neighbors(self._strings[sid])
+            nbrs = self.system.weighted_neighbors(self.strings[sid])
             cached = tuple(sorted(self.intern(t) for t in nbrs))
-            self._adj[sid] = cached
+            self.adj[sid] = cached
         return cached
 
     def __len__(self):
-        return len(self._strings)
+        return len(self.strings)
 
 
 @dataclass
@@ -224,11 +219,10 @@ class WalkVector:
 
     space: WalkSpace
     entries: dict[int, int]
-    step_index: int = 0
 
     @classmethod
     def basis(cls, space: WalkSpace, s: tuple[int, ...]) -> "WalkVector":
-        return cls(space, {space.intern(s): 1}, 0)
+        return cls(space, {space.intern(s): 1})
 
     def value(self, s: tuple[int, ...]) -> int:
         return self.entries.get(self.space.intern(s), 0)
@@ -243,36 +237,24 @@ def step(system, v: WalkVector) -> WalkVector:
     for sid, count in v.entries.items():
         for nb in space.adjacency(sid):
             out[nb] = out.get(nb, 0) + count
-    return WalkVector(space, out, v.step_index + 1)
+    return WalkVector(space, out)
+
+
+def _check_walk(n: int, *strings: tuple[int, ...]) -> None:
+    if n < 0:
+        raise RewriteError("walk length must be >= 0")
+    if len({len(s) for s in strings}) > 1:
+        raise RewriteError("endpoint strings differ in length")
 
 
 def count_walks(system, s: tuple[int, ...], t: tuple[int, ...], n: int) -> int:
     """Exact (A^n)_{s,t}: the number of length-n walks from s to t."""
-    if n < 0:
-        raise RewriteError("walk length must be >= 0")
-    if len(s) != len(t):
-        raise RewriteError("endpoint strings differ in length")
+    _check_walk(n, s, t)
     space = WalkSpace(system)
     v = WalkVector.basis(space, s)
     for _ in range(n):
         v = step(system, v)
     return v.value(t)
-
-
-def delta(system, s, t, t_prime, n: int) -> int:
-    """Exact walk-count difference (A^n)_{s,t} - (A^n)_{s,t'}.
-
-    One frontier expansion is shared between both targets.
-    """
-    if n < 0:
-        raise RewriteError("walk length must be >= 0")
-    if not len(s) == len(t) == len(t_prime):
-        raise RewriteError("endpoint strings differ in length")
-    space = WalkSpace(system)
-    v = WalkVector.basis(space, s)
-    for _ in range(n):
-        v = step(system, v)
-    return v.value(t) - v.value(t_prime)
 
 
 def delta_scaled(system, s, t, t_prime, n: int, c: float) -> float:
@@ -285,10 +267,7 @@ def delta_scaled(system, s, t, t_prime, n: int, c: float) -> float:
     """
     if c <= 0:
         raise RewriteError("scale c must be positive")
-    if n < 0:
-        raise RewriteError("walk length must be >= 0")
-    if not len(s) == len(t) == len(t_prime):
-        raise RewriteError("endpoint strings differ in length")
+    _check_walk(n, s, t, t_prime)
     space = WalkSpace(system)
     vec: dict[int, float] = {space.intern(s): 1.0}
     for _ in range(n):
@@ -314,10 +293,7 @@ def brute_force_count(system, s, t, n: int, node_limit: int = 1_000_000) -> int:
     Depth-first; ``node_limit`` caps the number of visited search nodes so the
     oracle stays desk-scale.
     """
-    if n < 0:
-        raise RewriteError("walk length must be >= 0")
-    if len(s) != len(t):
-        raise RewriteError("endpoint strings differ in length")
+    _check_walk(n, s, t)
     space = WalkSpace(system)
     target = space.intern(t)
     visited = 0
@@ -343,8 +319,7 @@ def walk_probability(system, s, t, m: int) -> Fraction:
     Every vertex expanded during the computation is checked for degree d;
     a mismatch raises NonRegularGraph.
     """
-    if m < 0:
-        raise RewriteError("walk length must be >= 0")
+    _check_walk(m, s)
     space = WalkSpace(system)
     sid0 = space.intern(s)
     degree = len(space.adjacency(sid0))
@@ -352,14 +327,11 @@ def walk_probability(system, s, t, m: int) -> Fraction:
         raise NonRegularGraph("seed vertex has degree 0")
     v = WalkVector.basis(space, s)
     for _ in range(m):
-        nxt: dict[int, int] = {}
-        for sid, count in v.entries.items():
-            adj = space.adjacency(sid)
-            if len(adj) != degree:
+        for sid in v.entries:
+            got = len(space.adjacency(sid))
+            if got != degree:
                 raise NonRegularGraph(
-                    f"vertex {space.string(sid)} has degree {len(adj)}, expected {degree}"
+                    f"vertex {space.string(sid)} has degree {got}, expected {degree}"
                 )
-            for nb in adj:
-                nxt[nb] = nxt.get(nb, 0) + count
-        v = WalkVector(space, nxt, v.step_index + 1)
+        v = step(system, v)
     return Fraction(v.value(t), degree**m)

@@ -82,11 +82,6 @@ def bounds(ell: int, m: int) -> tuple[float, float, bool]:
     (lambda_1/lambda_0)^m <= w_0 so the subleading terms cannot cancel the
     leading one.  Requires m of parity opposite to ell and m >= ell-1.
     """
-    _check(ell)
-    if m % 2 == ell % 2:
-        raise SpectralError(f"m = {m} has the parity of ell = {ell}")
-    if m < ell - 1:
-        raise SpectralError(f"need m >= ell-1, got m = {m}")
     log_upper, log_lower, lower_valid = log_bounds(ell, m)
     try:
         upper = math.exp(log_upper)

@@ -8,7 +8,6 @@ sign decision is correct, and the gap/growth promises hold.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -62,59 +61,25 @@ class VerificationReport:
         }
 
 
-class ReachableGraph:
-    """Closure of the rewriting relation around a seed string.
+class ReachableGraph(WalkSpace):
+    """Closure of the rewriting relation around seed strings.
 
-    Holds both the 0/1 adjacency (one edge per neighboring string) and the
-    multiplicity-weighted adjacency (number of window derivations per edge).
+    A walk space whose seeds are expanded breadth-first until every vertex's
+    0/1 adjacency is built.
     """
 
     def __init__(self, system, seeds, max_vertices: int = 100_000):
+        super().__init__(system)
         if isinstance(seeds, tuple) and seeds and isinstance(seeds[0], int):
             seeds = [seeds]
-        self.system = system
-        self.strings: list[tuple[int, ...]] = []
-        self.index: dict[tuple[int, ...], int] = {}
-        self.adj: list[list[int]] = []
-        self.weights: list[list[int]] = []
-
-        def intern(s):
-            i = self.index.get(s)
-            if i is None:
-                i = len(self.strings)
-                self.index[s] = i
-                self.strings.append(s)
-            return i
-
-        frontier = []
         for seed in seeds:
-            if seed not in self.index:
-                intern(seed)
-                frontier.append(seed)
-        done = 0
-        while frontier:
-            nxt = []
-            for s in frontier:
-                weighted = system.weighted_neighbors(s)
-                self.adj.append([])
-                self.weights.append([])
-                for t, w in sorted(weighted.items()):
-                    if t not in self.index and len(self.strings) >= max_vertices:
-                        raise VerifyError(
-                            f"reachable set exceeds {max_vertices} vertices"
-                        )
-                    known = t in self.index
-                    j = intern(t)
-                    self.adj[-1].append(j)
-                    self.weights[-1].append(w)
-                    if not known:
-                        nxt.append(t)
-                done += 1
-            frontier = nxt
-        assert done == len(self.strings)
-
-    def __len__(self):
-        return len(self.strings)
+            self.intern(seed)
+        sid = 0
+        while sid < len(self):
+            self.adjacency(sid)
+            if len(self) > max_vertices:
+                raise VerifyError(f"reachable set exceeds {max_vertices} vertices")
+            sid += 1
 
 
 Amplitudes = dict[tuple[int, ...], Root2Frac]
@@ -304,6 +269,11 @@ def end_to_end(
                 report.add("sigma_consistent", False, got=sigma, had=report.sigma)
 
 
+def within_growth(d: int, c: float, n: int) -> bool:
+    """|d| <= c^n, compared in log form since c^n overflows a float."""
+    return d == 0 or math.log(abs(d)) <= n * math.log(c)
+
+
 def sign_and_promise_check(
     instance: CompiledInstance,
     circuit: Circuit,
@@ -329,8 +299,8 @@ def sign_and_promise_check(
     # every computed length; the sqrt(2) lambda_1 variant is evaluated too
     c = instance.c
     c1 = SQRT2 * spectral.eigenvalue(ell, 1)
-    growth_ok = all(abs(d) <= c**n for n, d in enumerate(deltas) if n > 0)
-    growth1_desk = all(abs(d) <= c1**n for n, d in enumerate(deltas) if n > 0)
+    growth_ok = all(within_growth(d, c, n) for n, d in enumerate(deltas) if n > 0)
+    growth1_desk = all(within_growth(d, c1, n) for n, d in enumerate(deltas) if n > 0)
     report.add("growth_promise", growth_ok, c=c)
 
     # at the gap-condition walk length the certified identity gives

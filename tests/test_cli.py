@@ -37,6 +37,7 @@ def test_compile_reports_constants(workspace, capsys):
     assert doc["outputs"]["ell"] == 64
     assert doc["outputs"]["m"] == 65**3
     assert doc["outputs"]["rule_count"] > 0
+    assert doc["outputs"]["rule_count"] == 1916
 
 
 def test_compile_deterministic(workspace, capsys):
@@ -194,6 +195,7 @@ def test_resource_error_exit_3(workspace, capsys):
     )
     capsys.readouterr()
     assert code == 3
+    assert not out.exists()
 
 
 def test_unknown_schema_exit_2(capsys):

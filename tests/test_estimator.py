@@ -46,6 +46,16 @@ def test_clipped_power_examples():
     assert clipped_power(1.5, 2, 2.0) == 0.5625
 
 
+def test_one_eigh_for_both_measures(monkeypatch):
+    inst = compile_circuit(parse_circuit("qubits 1\nh 0"), [0])
+    graph = reachable_component(inst)
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+    for state in build_states(inst):
+        spectral_measure(graph, state)
+    assert calls == [len(graph)]
+
+
 def test_spectral_measure_is_probability(h_measures):
     _, _, plus, minus = h_measures
     for measure in (plus, minus):

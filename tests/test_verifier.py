@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -14,6 +15,7 @@ from walkdelta.verifier import (
     exact_deltas,
     sqrt2_power,
     verify,
+    within_growth,
 )
 
 
@@ -44,7 +46,6 @@ def test_reachable_graph_four_cycle():
     graph = ReachableGraph(system, (0, 0))
     assert len(graph) == 4
     assert all(len(row) == 2 for row in graph.adj)
-    assert all(w == 1 for row in graph.weights for w in row)
 
 
 def test_reachable_graph_budget():
@@ -106,6 +107,18 @@ def test_growth_constant_resolution_details(h_setup):
     assert check.details["lambda1_variant_holds_desk_scale"] is True
     assert check.details["lambda1_variant_holds_at_m"] is False
     assert check.details["log_margin_vs_lambda1"] > 0
+
+
+def test_growth_comparison_past_float_range():
+    # (2 sqrt 2)^2000 = 2^3000 overflows a float; the log form does not
+    c, n = 2 * math.sqrt(2), 2000
+    with pytest.raises(OverflowError):
+        c**n
+    assert within_growth(0, c, n)
+    assert within_growth(2**2999, c, n)
+    assert within_growth(-(2**2999), c, n)
+    assert not within_growth(2**3001, c, n)
+    assert not within_growth(-(2**3001), c, n)
 
 
 def test_verify_zero_overlap_toffoli():
