@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from . import estimator, spectral
+from . import spectral
 from .circuits import CircuitError, parse_circuit
 from .clock import CompiledInstance, CompileError, compile_circuit
 from .rewriting import BudgetExceeded, RewriteError, ScaleRangeError
@@ -170,18 +170,18 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from . import estimator  # numpy: loaded here, not by every command
+
     t0 = time.time()
     instance = CompiledInstance.load(args.instance)
     m = args.m if args.m is not None else instance.m
-    est, exact, vertices = estimator.estimate_with_noise(
-        instance,
-        m,
-        args.eta,
-        args.theta,
-        args.samples,
-        seed=args.seed,
-        max_vertices=args.vertex_budget,
-    )
+    try:
+        est, exact, vertices = estimator.estimate_with_noise(
+            instance, m, args.eta, args.theta, args.samples,
+            seed=args.seed, max_vertices=args.vertex_budget,
+        )
+    except estimator.EstimateError as exc:
+        raise ResourceFailure(str(exc))
     sign = (est.value > 0) - (est.value < 0)
     decided = abs(est.value) > est.error_bound
     _emit(
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vertex-budget", type=int, default=estimator.MAX_DENSE_VERTICES)
+    p.add_argument("--vertex-budget", type=int, default=4000)  # estimator.MAX_DENSE_VERTICES
     p.set_defaults(func=cmd_estimate)
     return parser
 
@@ -277,9 +277,9 @@ def main(argv=None) -> int:
         BudgetExceeded,
         ScaleRangeError,
         VerifyError,
-        estimator.EstimateError,
         ResourceFailure,
         MemoryError,
+        OverflowError,
     ) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

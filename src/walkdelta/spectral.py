@@ -10,6 +10,7 @@ the spectral formulas.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 
 class SpectralError(Exception):
@@ -43,36 +44,62 @@ def weight(ell: int, j: int) -> float:
     return eigvec_entry(ell, j, 0) * eigvec_entry(ell, j, ell - 1)
 
 
+def _exp(x: float) -> float:
+    """exp(x), or inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+@lru_cache(maxsize=None)
+def _ratio_terms(ell: int) -> tuple[tuple[float, float], ...]:
+    """The pairs (w_j, lambda_j / lambda_0)."""
+    lam0 = eigenvalue(ell, 0)
+    return tuple((weight(ell, j), eigenvalue(ell, j) / lam0) for j in range(ell))
+
+
+def scaled_corner(ell: int, m: int) -> float:
+    """Corner entry over lambda_0^m: the sum of w_j (lambda_j/lambda_0)^m.
+
+    Compensated, as the terms alternate in sign; no term exceeds |w_j|.
+    """
+    _check(ell)
+    total = comp = 0.0
+    for w, r in _ratio_terms(ell):
+        y = w * r**m - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+# ell -> (n, row n of the recurrence), the latest row only
+_rows: dict[int, tuple[int, list[int]]] = {}
+
+
 def corner_entry(ell: int, m: int) -> tuple[int, float]:
     """(0, ell-1) entry of the m-th power of the path adjacency matrix.
 
     Returns the exact integer (walk count, by the recurrence
-    v'_k = v_{k-1} + v_{k+1}) and the float spectral sum; the sum uses
-    compensated summation since the terms alternate in sign.
+    v'_k = v_{k-1} + v_{k+1}) and scaled_corner times lambda_0^m, +-inf past
+    the float range.  The recurrence resumes from the last row computed for
+    this ell unless m is below it: m = 1, 2, ..., N costs N row updates.
     """
     _check(ell)
     if m < 0:
         raise SpectralError("power must be >= 0")
-    v = [0] * ell
-    v[0] = 1
-    for _ in range(m):
-        nxt = [0] * ell
-        for k in range(ell):
-            left = v[k - 1] if k > 0 else 0
-            right = v[k + 1] if k < ell - 1 else 0
-            nxt[k] = left + right
-        v = nxt
-    exact = v[ell - 1]
-
-    total = 0.0
-    comp = 0.0
-    for j in range(ell):
-        term = weight(ell, j) * eigenvalue(ell, j) ** m
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return exact, total
+    n, v = _rows.get(ell, (0, None))
+    if v is None or m < n:
+        n, v = 0, [1] + [0] * (ell - 1)
+    for _ in range(n, m):
+        v = [a + b for a, b in zip([0] + v[:-1], v[1:] + [0])]
+    _rows[ell] = (m, v)
+    total = scaled_corner(ell, m)
+    if total == 0.0:
+        return v[ell - 1], 0.0
+    log_value = math.log(abs(total)) + m * math.log(eigenvalue(ell, 0))
+    return v[ell - 1], math.copysign(_exp(log_value), total)
 
 
 def bounds(ell: int, m: int) -> tuple[float, float, bool]:
@@ -83,15 +110,7 @@ def bounds(ell: int, m: int) -> tuple[float, float, bool]:
     leading one.  Requires m of parity opposite to ell and m >= ell-1.
     """
     log_upper, log_lower, lower_valid = log_bounds(ell, m)
-    try:
-        upper = math.exp(log_upper)
-    except OverflowError:
-        upper = math.inf
-    try:
-        lower = math.exp(log_lower)
-    except OverflowError:
-        lower = math.inf
-    return upper, lower, lower_valid
+    return _exp(log_upper), _exp(log_lower), lower_valid
 
 
 def log_bounds(ell: int, m: int) -> tuple[float, float, bool]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import spectral
-from .circuits import Circuit, R2_INV_SQRT2, R2_ONE, R2_ZERO, Root2Frac, overlap
+from .circuits import Circuit, R2_INV_SQRT2, R2_ONE, R2_SQRT2, R2_ZERO, Root2Frac, overlap
 from .clock import CompiledInstance, backward_images, forward_images
 from .rewriting import WalkSpace, WalkVector, step
 
@@ -123,25 +123,14 @@ def _dot(u: Amplitudes, v: Amplitudes) -> Root2Frac:
     return total
 
 
-def _apply_weighted(instance: CompiledInstance, vec: Amplitudes) -> Amplitudes:
-    out: Amplitudes = {}
-    for s, coef in vec.items():
-        for t, w in instance.system.weighted_neighbors(s).items():
-            cur = out.get(t, R2_ZERO) + coef * Root2Frac(w, 0, 0)
-            if cur.is_zero():
-                out.pop(t, None)
-            else:
-                out[t] = cur
-    return out
-
-
 def orbit_check(instance: CompiledInstance, report: VerificationReport) -> None:
     """Exact path-graph structure of the forward orbit.
 
     Builds u_0 = (t - t') / sqrt(2) and u_{i+1} = F u_i / sqrt(2); verifies
-    orthonormality, tridiagonal weighted matrix elements equal to sqrt(2),
-    no backward step out of the initial strings, and termination after ell
-    steps.
+    no backward step out of the initial strings, termination after ell steps,
+    orthonormality (unit norms, disjoint supports) and H u_j = sqrt(2)
+    (u_{j-1} + u_{j+1}) with single derivations: the tridiagonal restricted
+    matrix, at a cost linear in the orbit's support.
     """
     ell = instance.ell
 
@@ -152,9 +141,7 @@ def orbit_check(instance: CompiledInstance, report: VerificationReport) -> None:
                 bad.append((label, j))
     report.add("no_backward_step_from_start", not bad, offending=bad)
 
-    u: list[Amplitudes] = [
-        {instance.t: R2_INV_SQRT2, instance.t_prime: -R2_INV_SQRT2}
-    ]
+    u: list[Amplitudes] = [{instance.t: R2_INV_SQRT2, instance.t_prime: -R2_INV_SQRT2}]
     unique_all = True
     for i in range(ell - 1):
         nxt, unique = _forward_step(instance, u[-1])
@@ -168,39 +155,36 @@ def orbit_check(instance: CompiledInstance, report: VerificationReport) -> None:
     terminal, _ = _forward_step(instance, u[-1])
     report.add("orbit_terminates", not terminal, extra_support=len(terminal))
 
-    ortho_ok = True
-    for i in range(ell):
-        for j in range(i, ell):
-            got = _dot(u[i], u[j])
-            want = R2_ONE if i == j else R2_ZERO
-            if got != want:
-                ortho_ok = False
+    disjoint = len(set().union(*u)) == sum(map(len, u))
+    ortho_ok = disjoint and all(_dot(uj, uj) == R2_ONE for uj in u)
     report.add("orbit_orthonormal", ortho_ok)
 
-    h_u = [_apply_weighted(instance, u[j]) for j in range(ell)]
-    tri_ok = True
-    worst = None
-    for i in range(ell):
-        for j in range(ell):
-            got = _dot(u[i], h_u[j])
-            want = Root2Frac(0, 1, 0) if abs(i - j) == 1 else R2_ZERO
-            if got != want:
-                tri_ok = False
-                worst = (i, j, (got.a, got.b, got.e))
-    report.add("restricted_hamiltonian_is_path", tri_ok, mismatch=worst)
-
-    weighted_ok = True
-    for i in range(ell):
-        for s in u[i]:
+    mismatch = None
+    single = True
+    for j, uj in enumerate(u):
+        h_u: Amplitudes = {}
+        for s, coef in uj.items():
             for t, w in instance.system.weighted_neighbors(s).items():
-                if w != 1:
-                    weighted_ok = False
-    report.add("orbit_edges_single_derivation", weighted_ok)
+                single = single and w == 1
+                h_u[t] = h_u.get(t, R2_ZERO) + coef * Root2Frac(w, 0, 0)
+        want: Amplitudes = {}
+        for uk in (u[k] for k in (j - 1, j + 1) if 0 <= k < ell):
+            for s, coef in uk.items():
+                want[s] = want.get(s, R2_ZERO) + coef * R2_SQRT2
+        got = {t: c for t, c in h_u.items() if not c.is_zero()}
+        if mismatch is None and got != want:
+            mismatch = j
+    report.add("restricted_hamiltonian_is_path", mismatch is None, mismatch=mismatch)
+    report.add("orbit_edges_single_derivation", single)
 
 
-def exact_deltas(instance: CompiledInstance, max_n: int) -> list[int]:
-    """Delta(n) for n = 0..max_n, one shared frontier propagation."""
-    space = WalkSpace(instance.system)
+def exact_deltas(
+    instance: CompiledInstance, max_n: int, space: WalkSpace | None = None
+) -> list[int]:
+    """Delta(n) for n = 0..max_n, one shared frontier propagation, in the
+    given walk space (with the adjacency it already holds) or a new one."""
+    if space is None:
+        space = WalkSpace(instance.system)
     v = WalkVector.basis(space, instance.s)
     tid = space.intern(instance.t)
     tpid = space.intern(instance.t_prime)
@@ -217,6 +201,7 @@ def end_to_end(
     x,
     report: VerificationReport,
     max_n: int | None = None,
+    space: WalkSpace | None = None,
 ) -> None:
     """Exact master identity on all desk-scale walk lengths.
 
@@ -227,12 +212,10 @@ def end_to_end(
     if max_n is None:
         max_n = instance.ell + 5
     ov = overlap(circuit, list(x) + [0] * (circuit.n_qubits - len(x)))
-    deltas = exact_deltas(instance, max_n)
+    deltas = exact_deltas(instance, max_n, space)
     inv_root = R2_INV_SQRT2 if instance.d_parity else R2_ONE
 
-    parity_ok = all(
-        deltas[n] == 0 for n in range(max_n + 1) if n % 2 == instance.ell % 2
-    )
+    parity_ok = all(d == 0 for n, d in enumerate(deltas) if n % 2 == instance.ell % 2)
     report.add("parity_zeros", parity_ok)
 
     candidates = {1, -1}
@@ -245,8 +228,7 @@ def end_to_end(
         rhs = sqrt2_power(n) * ov * Root2Frac(corner, 0, 0) * inv_root
         lhs = Root2Frac(deltas[n], 0, 0)
         comparisons += 1
-        fits = {sig for sig in (1, -1) if lhs == (rhs if sig == 1 else -rhs)}
-        candidates &= fits
+        candidates &= {sig for sig in (1, -1) if lhs == (rhs if sig == 1 else -rhs)}
         if not candidates and fail is None:
             fail = (n, deltas[n])
     if ov.is_zero():
@@ -279,12 +261,13 @@ def sign_and_promise_check(
     circuit: Circuit,
     x,
     report: VerificationReport,
+    space: WalkSpace | None = None,
 ) -> None:
     """Sign decision at the smallest valid walk length, growth and gap promises."""
     ell = instance.ell
     ov = overlap(circuit, list(x) + [0] * (circuit.n_qubits - len(x)))
     m_sign = spectral.choose_m(ell, "sign_only")
-    deltas = exact_deltas(instance, m_sign)
+    deltas = exact_deltas(instance, m_sign, space)
     d_sign = deltas[m_sign]
 
     if ov.is_zero():
@@ -310,10 +293,7 @@ def sign_and_promise_check(
     m = instance.m
     lam0 = spectral.eigenvalue(ell, 0)
     if not ov.is_zero():
-        tail = sum(
-            spectral.weight(ell, j) * (spectral.eigenvalue(ell, j) / lam0) ** m
-            for j in range(ell)
-        )
+        tail = spectral.scaled_corner(ell, m)
         log_delta_m = (
             m * (math.log(SQRT2) + math.log(lam0))
             + math.log(abs(ov.to_float()) * abs(tail))
@@ -346,7 +326,8 @@ def verify(
     instance: CompiledInstance, circuit: Circuit, x, max_n: int | None = None
 ) -> VerificationReport:
     report = VerificationReport()
+    space = WalkSpace(instance.system)
     orbit_check(instance, report)
-    end_to_end(instance, circuit, x, report, max_n=max_n)
-    sign_and_promise_check(instance, circuit, x, report)
+    end_to_end(instance, circuit, x, report, max_n=max_n, space=space)
+    sign_and_promise_check(instance, circuit, x, report, space=space)
     return report

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from walkdelta import cli
+import walkdelta
+from walkdelta import cli, estimator
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +211,46 @@ def test_unknown_schema_exit_2(capsys):
 def test_bad_subcommand_exit_2(capsys):
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(walkdelta.__file__))
+    code = "import sys, walkdelta.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_estimate_budget_default_is_dense_guard():
+    args = cli.build_parser().parse_args(
+        ["estimate", "--instance", "i", "--eta", "0", "--theta", "0", "--samples", "1"]
+    )
+    assert args.vertex_budget == estimator.MAX_DENSE_VERTICES == 4000
+
+
+def test_estimate_error_exit_3(workspace, capsys, monkeypatch):
+    _, _, instance = workspace
+
+    def refuse(*args, **kwargs):
+        raise estimator.EstimateError("component too large")
+
+    monkeypatch.setattr(estimator, "estimate_with_noise", refuse)
+    argv = ["estimate", "--instance", str(instance), "--eta", "0", "--theta", "0", "--samples", "1"]
+    assert cli.main(argv) == 3
+    assert "resource error: component too large" in capsys.readouterr().err
+
+
+def test_float_overflow_exit_3(capsys, monkeypatch):
+    def overflow(args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "cmd_spectral", overflow)
+    assert cli.main(["spectral", "--ell", "2", "--m", "1"]) == 3
+    assert "resource error: math range error" in capsys.readouterr().err
+
+
+def test_spectral_past_float_range(capsys):
+    code, doc = run(capsys, ["spectral", "--ell", "64", "--m", "1101"])
+    assert code == 0
+    assert int(doc["outputs"]["corner"]) > 0
+    assert doc["outputs"]["corner_float"] == doc["outputs"]["upper"] == float("inf")

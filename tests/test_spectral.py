@@ -52,6 +52,28 @@ def test_corner_entry_dp_matches_spectral_sum(ell, m):
         assert approx == pytest.approx(exact, rel=1e-9, abs=1e-10 * scale)
 
 
+def fresh_corner(ell, m):
+    v = [1] + [0] * (ell - 1)
+    for _ in range(m):
+        v = [(v[k - 1] if k else 0) + (v[k + 1] if k < ell - 1 else 0) for k in range(ell)]
+    return v[ell - 1]
+
+
+def test_corner_entry_resumes_in_any_order():
+    # rising, falling, repeating, and switching between path lengths
+    for ell, m in ((7, 3), (7, 12), (7, 12), (7, 5), (4, 9), (7, 14), (4, 2), (7, 0), (4, 30)):
+        assert spectral.corner_entry(ell, m)[0] == fresh_corner(ell, m), (ell, m)
+
+
+def test_corner_entry_past_float_range():
+    # lambda_0^m overflows a float from m ~ 1024 on; the exact entry does not
+    exact, _ = spectral.corner_entry(1040, 1025)
+    assert exact == fresh_corner(1040, 1025)
+    exact, approx = spectral.corner_entry(64, 1101)
+    assert exact == fresh_corner(64, 1101) > 0
+    assert approx == math.inf
+
+
 def test_weight_symmetry_and_mass():
     for ell in (2, 3, 8, 41):
         w0 = spectral.weight(ell, 0)

@@ -4,10 +4,9 @@ import math
 import pytest
 
 from walkdelta import verifier
-from walkdelta.circuits import parse_circuit
-from walkdelta.clock import compile_circuit
-from walkdelta.circuits import Root2Frac
-from walkdelta.rewriting import Alphabet, Rule, RewritingSystem, symmetric_close
+from walkdelta.circuits import R2_INV_SQRT2, R2_ONE, R2_SQRT2, R2_ZERO, Root2Frac, parse_circuit
+from walkdelta.clock import ClockSystem, compile_circuit
+from walkdelta.rewriting import Alphabet, Rule, RewritingSystem, WalkSpace, symmetric_close
 from walkdelta.verifier import (
     ReachableGraph,
     VerificationReport,
@@ -159,3 +158,79 @@ def test_master_identity_detects_tampering(h_setup):
     report = VerificationReport()
     verifier.end_to_end(swapped, circuit, x, report)
     assert report.sigma == 1
+
+
+def test_exact_deltas_reuses_given_space(h_setup):
+    _, _, inst = h_setup
+    space = WalkSpace(inst.system)
+    first = exact_deltas(inst, 20, space)
+    size = len(space)
+    assert exact_deltas(inst, 20, space) == first == exact_deltas(inst, 20)
+    assert len(space) == size
+
+
+def orbit_vectors(inst):
+    u = [{inst.t: R2_INV_SQRT2, inst.t_prime: -R2_INV_SQRT2}]
+    for _ in range(inst.ell - 1):
+        u.append(verifier._forward_step(inst, u[-1])[0])
+    return u
+
+
+def gram_oracle(inst):
+    """The O(ell^2) Gram and <u_i, H u_j> comparisons, from _dot alone."""
+    u = orbit_vectors(inst)
+    ell = len(u)
+    ortho = all(
+        verifier._dot(u[i], u[j]) == (R2_ONE if i == j else R2_ZERO)
+        for i in range(ell)
+        for j in range(i, ell)
+    )
+    h_u = []
+    for uj in u:
+        out = {}
+        for s, coef in uj.items():
+            for t, w in inst.system.weighted_neighbors(s).items():
+                out[t] = out.get(t, R2_ZERO) + coef * Root2Frac(w, 0, 0)
+        h_u.append(out)
+    path = all(
+        verifier._dot(u[i], h_u[j]) == (R2_SQRT2 if abs(i - j) == 1 else R2_ZERO)
+        for i in range(ell)
+        for j in range(ell)
+    )
+    return ortho, path
+
+
+def orbit_results(inst):
+    report = VerificationReport()
+    verifier.orbit_check(inst, report)
+    checks = {c.name: c.passed for c in report.checks}
+    return checks["orbit_orthonormal"], checks["restricted_hamiltonian_is_path"]
+
+
+@pytest.mark.parametrize(
+    "text, x",
+    [
+        ("qubits 1\nh 0", [0]),
+        ("qubits 1\nh 0\n---\nh 0", [0]),
+        ("qubits 2\nh 0\n---\nswap 0", [0, 0]),
+        ("qubits 3\ntoffoli 0", [1, 1, 0]),
+    ],
+)
+def test_orbit_checks_agree_with_gram_oracle(text, x):
+    inst = compile_circuit(parse_circuit(text), x)
+    assert orbit_results(inst) == gram_oracle(inst) == (True, True)
+
+
+def test_dropped_orbit_edge_fails_path_check(h_setup, monkeypatch):
+    _, _, inst = h_setup
+    u1 = set(orbit_vectors(inst)[1])
+    original = ClockSystem.weighted_neighbors
+
+    def dropped(system, s):
+        out = original(system, s)
+        if s == inst.t:
+            del out[min(u1 & out.keys())]
+        return out
+
+    monkeypatch.setattr(ClockSystem, "weighted_neighbors", dropped)
+    assert orbit_results(inst) == gram_oracle(inst) == (True, False)
