@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -216,6 +217,18 @@ class ResourceFailure(Exception):
     pass
 
 
+def _in_range(cast, low, high=math.inf):
+    """Argument type: a number cast from the text, within [low, high]."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{text} is outside [{low}, {high}]")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walkdelta",
@@ -252,10 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="noisy spectral estimate of the sign")
     p.add_argument("--instance", required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--m", type=_in_range(int, 0), default=None)
+    p.add_argument("--eta", type=_in_range(float, 0.0), required=True)
+    p.add_argument("--theta", type=_in_range(float, 0.0, 1.0), required=True)
+    p.add_argument("--samples", type=_in_range(int, 1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vertex-budget", type=int, default=4000)  # estimator.MAX_DENSE_VERTICES
     p.set_defaults(func=cmd_estimate)
@@ -287,6 +300,7 @@ def main(argv=None) -> int:
         CircuitError,
         RewriteError,
         CompileError,
+        spectral.SpectralError,
         json.JSONDecodeError,
         KeyError,
         FileNotFoundError,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,39 +53,108 @@ def reachable_component(
     return ReachableGraph(instance.system, seeds, max_vertices=max_vertices)
 
 
-# eigenpairs of each component's adjacency, dropped with the component; the
-# two spectral measures of one estimate share one eigendecomposition
-_eigenpairs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# the bipartite decomposition of each component, dropped with the component;
+# the two spectral measures of one estimate share one eigendecomposition
+_halves: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+# singular values of B at or below this are zero: eigh leaves round-off of
+# order 1e-15 on the zero eigenvalues of B B^T, i.e. 1e-7 on their roots
+ZERO_SINGULAR = 1e-6
 
 
-def _diagonalize(graph: ReachableGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the 0/1 adjacency restricted to the component."""
+@dataclass(frozen=True)
+class _Halves:
+    """A = [[0, B], [B^T, 0]] in colour order, with B B^T = U diag(mu) U^T.
+
+    ``eigenvalues`` is the measure support every state shares: +sigma and
+    -sigma for each nonzero singular value sigma = sqrt(mu) of B, then one
+    atom at 0 for the kernel of A.
+    """
+
+    rows: np.ndarray  # component indices of colour 0 (the rows of B)
+    cols: np.ndarray  # component indices of colour 1 (the columns of B)
+    b: np.ndarray
+    u: np.ndarray
+    nonzero: np.ndarray  # mask of the columns of u with sigma > ZERO_SINGULAR
+    sigma: np.ndarray  # the nonzero singular values, in the order of the mask
+    eigenvalues: np.ndarray
+
+
+def _two_colouring(graph: ReachableGraph) -> np.ndarray:
+    """Colour 0/1 of every vertex, by breadth-first search from each piece."""
+    colour = np.full(len(graph), -1, dtype=np.int8)
+    for root in range(len(graph)):
+        if colour[root] >= 0:
+            continue
+        colour[root] = 0
+        queue = deque([root])
+        while queue:
+            i = queue.popleft()
+            for j in graph.adj[i]:
+                if colour[j] < 0:
+                    colour[j] = 1 - colour[i]
+                    queue.append(j)
+                elif colour[j] == colour[i]:
+                    raise EstimateError("component is not bipartite: it has an odd cycle")
+    return colour
+
+
+def _diagonalize(graph: ReachableGraph) -> _Halves:
+    """Spectrum of the 0/1 adjacency restricted to the component.
+
+    The component is bipartite, so one eigh of B B^T, half the size of A,
+    gives every eigenvalue of A as +-sqrt of an eigenvalue of B B^T.
+    """
     n = len(graph)
     if n > MAX_DENSE_VERTICES:
         raise EstimateError(f"component has {n} vertices, guard is {MAX_DENSE_VERTICES}")
-    a = np.zeros((n, n))
-    for i, row in enumerate(graph.adj):
-        for j in row:
-            a[i, j] = 1.0
-    if not np.array_equal(a, a.T):
+    colour = _two_colouring(graph)
+    rows, cols = np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)
+    half = np.empty(n, dtype=np.intp)
+    half[rows] = np.arange(len(rows))
+    half[cols] = np.arange(len(cols))
+
+    def block(side: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(side), n - len(side)))
+        for i, v in enumerate(side):
+            out[i, half[list(graph.adj[v])]] = 1.0
+        return out
+
+    b = block(rows)
+    if not np.array_equal(b, block(cols).T):
         raise EstimateError("adjacency restricted to component is not symmetric")
-    return np.linalg.eigh(a)
+    mu, u = np.linalg.eigh(b @ b.T)
+    sigma = np.sqrt(np.maximum(mu, 0.0))
+    nonzero = sigma > ZERO_SINGULAR
+    top = sigma[nonzero]
+    eigenvalues = np.concatenate([top, -top, [0.0]])
+    return _Halves(rows, cols, b, u, nonzero, top, eigenvalues)
 
 
 def spectral_measure(graph: ReachableGraph, state: dict) -> SpectralMeasure:
-    """The state's spectral measure under the component's adjacency."""
-    pairs = _eigenpairs.get(graph)
-    if pairs is None:
-        pairs = _eigenpairs[graph] = _diagonalize(graph)
-    vals, vecs = pairs
+    """The state's spectral measure under the component's adjacency.
+
+    With a = u^T psi_P and b = u^T B psi_Q / sigma for the parts psi_P,
+    psi_Q of the state on the two colour classes, the eigenvalues +-sigma
+    carry (a +- b)^2 / 2. The atom at 0 carries a^2 of every zero sigma
+    plus what is left of |psi_Q|^2 in the kernel of B.
+    """
+    halves = _halves.get(graph)
+    if halves is None:
+        halves = _halves[graph] = _diagonalize(graph)
     amp = np.zeros(len(graph))
     for s, coef in state.items():
         idx = graph.index.get(s)
         if idx is None:
             raise EstimateError("state supported outside the reachable component")
         amp[idx] = coef
-    probs = (vecs.T @ amp) ** 2
-    return SpectralMeasure(vals, probs)
+    psi_p, psi_q = amp[halves.rows], amp[halves.cols]
+    nz = halves.nonzero
+    a = halves.u.T @ psi_p
+    b = (halves.u.T @ (halves.b @ psi_q))[nz] / halves.sigma
+    kernel = float(a[~nz] @ a[~nz]) + max(float(psi_q @ psi_q - b @ b), 0.0)
+    probs = np.concatenate([(a[nz] + b) ** 2 / 2, (a[nz] - b) ** 2 / 2, [kernel]])
+    return SpectralMeasure(halves.eigenvalues, probs)
 
 
 def delta_moment(plus: SpectralMeasure, minus: SpectralMeasure, m: int, c: float) -> float:
@@ -101,8 +171,7 @@ def delta_moment(plus: SpectralMeasure, minus: SpectralMeasure, m: int, c: float
     ):
         raise EstimateError("measures come from different components")
     diff = plus.probabilities - minus.probabilities
-    f = np.array([clipped_power(x, m, c) for x in plus.eigenvalues])
-    return float(diff @ f) / math.sqrt(2.0)
+    return float(diff @ clipped_powers(plus.eigenvalues, m, c)) / math.sqrt(2.0)
 
 
 def clipped_power(x: float, m: int, c: float) -> float:
@@ -117,6 +186,12 @@ def clipped_power(x: float, m: int, c: float) -> float:
     if r < -1.0:
         return -1.0 if m % 2 else 1.0
     return r**m
+
+
+def clipped_powers(x: np.ndarray, m: int, c: float) -> np.ndarray:
+    """``clipped_power`` elementwise: clipping r = x/c to [-1, 1] first sends
+    r > 1 to 1 and r < -1 to (-1)^m, as the scalar map does."""
+    return np.clip(x / c, -1.0, 1.0) ** m
 
 
 def hoeffding_samples(eps: float, delta: float = 0.05) -> int:
@@ -174,12 +249,12 @@ def _sample_clipped(
     # the adversary reports whichever extreme eigenvalue moves the clipped
     # power map farthest from the true value
     if np.any(adversarial):
-        true_f = np.array([clipped_power(x, m, c) for x in lam[adversarial]])
+        true_f = clipped_powers(lam[adversarial], m, c)
         f_hi = clipped_power(lam_max, m, c)
         f_lo = clipped_power(-lam_max, m, c)
         pick_hi = np.abs(f_hi - true_f) >= np.abs(f_lo - true_f)
         noisy[adversarial] = np.where(pick_hi, lam_max, -lam_max)
-    return float(np.mean([clipped_power(x, m, c) for x in noisy]))
+    return float(np.mean(clipped_powers(noisy, m, c)))
 
 
 def noisy_estimate(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from . import spectral
 from .circuits import Circuit, R2_INV_SQRT2, R2_ONE, R2_SQRT2, R2_ZERO, Root2Frac, overlap
 from .clock import CompiledInstance, backward_images, forward_images
-from .rewriting import WalkSpace, WalkVector, step
+from .rewriting import WalkSpace, WalkVector, _check_walk, step
 
 
 class VerifyError(Exception):
@@ -183,6 +183,7 @@ def exact_deltas(
 ) -> list[int]:
     """Delta(n) for n = 0..max_n, one shared frontier propagation, in the
     given walk space (with the adjacency it already holds) or a new one."""
+    _check_walk(max_n, instance.s, instance.t, instance.t_prime)
     if space is None:
         space = WalkSpace(instance.system)
     v = WalkVector.basis(space, instance.s)

@@ -254,3 +254,44 @@ def test_spectral_past_float_range(capsys):
     assert code == 0
     assert int(doc["outputs"]["corner"]) > 0
     assert doc["outputs"]["corner_float"] == doc["outputs"]["upper"] == float("inf")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--samples", "0"],
+        ["--samples", "-5"],
+        ["--eta", "-1"],
+        ["--theta", "2"],
+        ["--m", "-3"],
+    ],
+    ids=["samples-0", "samples-negative", "eta-negative", "theta-above-1", "m-negative"],
+)
+def test_estimate_argument_out_of_range_exit_2(workspace, capsys, bad):
+    _, _, instance = workspace
+    argv = ["estimate", "--instance", str(instance), "--eta", "0", "--theta", "0", "--samples", "10"]
+    assert cli.main(argv + bad) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {bad[0]}: {bad[1]} is outside" in captured.err
+
+
+def test_delta_negative_steps_exit_2(workspace, capsys):
+    _, _, instance = workspace
+    assert cli.main(["delta", "--instance", str(instance), "--steps", "-1"]) == 2
+    assert "walk length must be >= 0" in capsys.readouterr().err
+
+
+def test_verify_negative_max_steps_exit_2(workspace, capsys):
+    _, circuit, instance = workspace
+    argv = ["verify", "--instance", str(instance), "--circuit", str(circuit), "--input", "0"]
+    assert cli.main(argv + ["--max-steps", "-1"]) == 2
+    assert "walk length must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ell,m", [("1", "3"), ("5", "-1")])
+def test_spectral_bad_arguments_exit_2(capsys, ell, m):
+    assert cli.main(["spectral", "--ell", ell, "--m", m]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:")

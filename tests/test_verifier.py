@@ -6,7 +6,14 @@ import pytest
 from walkdelta import verifier
 from walkdelta.circuits import R2_INV_SQRT2, R2_ONE, R2_SQRT2, R2_ZERO, Root2Frac, parse_circuit
 from walkdelta.clock import ClockSystem, compile_circuit
-from walkdelta.rewriting import Alphabet, Rule, RewritingSystem, WalkSpace, symmetric_close
+from walkdelta.rewriting import (
+    Alphabet,
+    RewriteError,
+    RewritingSystem,
+    Rule,
+    WalkSpace,
+    symmetric_close,
+)
 from walkdelta.verifier import (
     ReachableGraph,
     VerificationReport,
@@ -167,6 +174,13 @@ def test_exact_deltas_reuses_given_space(h_setup):
     size = len(space)
     assert exact_deltas(inst, 20, space) == first == exact_deltas(inst, 20)
     assert len(space) == size
+
+
+def test_exact_deltas_rejects_negative_length(h_setup):
+    _, _, inst = h_setup
+    with pytest.raises(RewriteError, match="walk length"):
+        exact_deltas(inst, -1)
+    assert exact_deltas(inst, 0) == [0]
 
 
 def orbit_vectors(inst):
