@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class CircuitError(Exception):
@@ -198,35 +198,6 @@ def apply(circuit: Circuit, bits: Sequence[int]) -> dict[int, Root2Frac]:
     for layer in circuit.layers:
         for gate in layer:
             state = _apply_gate_exact(gate, state, circuit.n_qubits)
-    return state
-
-
-def apply_float(circuit: Circuit, bits: Sequence[int]) -> dict[int, float]:
-    """Float cross-check of apply(); same sparsity pattern up to rounding."""
-    if len(bits) != circuit.n_qubits:
-        raise CircuitError(f"expected {circuit.n_qubits} input bits, got {len(bits)}")
-    inv = 1.0 / math.sqrt(2)
-    idx = sum(b << q for q, b in enumerate(bits))
-    state: dict[int, float] = {idx: 1.0}
-    for layer in circuit.layers:
-        for gate in layer:
-            out: dict[int, float] = {}
-            q = gate.qubit
-            for i, amp in state.items():
-                if gate.kind == "h":
-                    bit = (i >> q) & 1
-                    out[i & ~(1 << q)] = out.get(i & ~(1 << q), 0.0) + amp * inv
-                    hi = i | (1 << q)
-                    out[hi] = out.get(hi, 0.0) + (-amp if bit else amp) * inv
-                elif gate.kind == "swap":
-                    b0 = (i >> q) & 1
-                    b1 = (i >> (q + 1)) & 1
-                    new = (i & ~(1 << q) & ~(1 << (q + 1))) | (b1 << q) | (b0 << (q + 1))
-                    out[new] = out.get(new, 0.0) + amp
-                else:
-                    j = i ^ (1 << (q + 2)) if ((i >> q) & 1 and (i >> (q + 1)) & 1) else i
-                    out[j] = out.get(j, 0.0) + amp
-            state = out
     return state
 
 

@@ -18,7 +18,7 @@ import time
 from . import spectral
 from .circuits import CircuitError, parse_circuit
 from .clock import CompiledInstance, CompileError, compile_circuit
-from .rewriting import BudgetExceeded, RewriteError, ScaleRangeError
+from .rewriting import BudgetExceeded, RewriteError
 from .verifier import ReachableGraph, VerifyError, exact_deltas, verify
 
 SCHEMA = "walkdelta-result-1"
@@ -112,19 +112,10 @@ def cmd_delta(args) -> int:
     t0 = time.time()
     instance = CompiledInstance.load(args.instance)
     n = args.steps if args.steps is not None else instance.m
-    if args.scaled:
-        from .rewriting import delta_scaled
-
-        value = delta_scaled(
-            instance.system, instance.s, instance.t, instance.t_prime, n, instance.c
-        )
-        sign = (value > 0) - (value < 0)
-        out = {"n": n, "delta_scaled": value, "sign": sign}
-    else:
-        value = exact_deltas(instance, n)[n]
-        sign = (value > 0) - (value < 0)
-        out = {"n": n, "delta": str(value), "sign": sign}
-    _emit("delta", {"instance": args.instance, "steps": n, "scaled": args.scaled}, out, None, t0)
+    value = exact_deltas(instance, n)[n]
+    sign = (value > 0) - (value < 0)
+    out = {"n": n, "delta": str(value), "sign": sign}
+    _emit("delta", {"instance": args.instance, "steps": n}, out, None, t0)
     if sign > 0:
         return EXIT_POSITIVE
     if sign < 0:
@@ -218,12 +209,13 @@ class ResourceFailure(Exception):
 
 
 def _in_range(cast, low, high=math.inf):
-    """Argument type: a number cast from the text, within [low, high]."""
+    """Argument type: a finite number cast from the text, within [low, high]."""
 
     def parse(text: str):
         value = cast(text)
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"{text} is outside [{low}, {high}]")
+        if not low <= value <= high or value == math.inf:
+            end = "]" if high < math.inf else ")"
+            raise argparse.ArgumentTypeError(f"{text} is outside [{low}, {high}{end}")
         return value
 
     return parse
@@ -242,13 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="input bits, e.g. 110")
     p.add_argument("--m-mode", choices=["paper", "minimal", "sign_only"], default="paper")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--vertex-budget", type=int, default=100_000)
+    p.add_argument("--vertex-budget", type=_in_range(int, 1), default=100_000)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("delta", help="walk-count difference of an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--scaled", action="store_true", help="report Delta/c^N instead of the integer")
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("verify", help="run all correctness checks on an instance")
@@ -269,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=_in_range(float, 0.0), required=True)
     p.add_argument("--theta", type=_in_range(float, 0.0, 1.0), required=True)
     p.add_argument("--samples", type=_in_range(int, 1), required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vertex-budget", type=int, default=4000)  # estimator.MAX_DENSE_VERTICES
+    p.add_argument("--seed", type=_in_range(int, 0), default=0)
+    p.add_argument("--vertex-budget", type=_in_range(int, 1), default=4000)  # estimator.MAX_DENSE_VERTICES
     p.set_defaults(func=cmd_estimate)
     return parser
 
@@ -288,7 +279,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (
         BudgetExceeded,
-        ScaleRangeError,
         VerifyError,
         ResourceFailure,
         MemoryError,

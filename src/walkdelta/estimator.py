@@ -304,24 +304,3 @@ def estimate_with_noise(
     est = noisy_estimate(plus, minus, m, instance.c, eta, theta, samples, seed=seed, delta=delta)
     return est, exact, len(graph)
 
-
-def estimate_instance(
-    instance: CompiledInstance,
-    m: int | None = None,
-    eps: float = 1.0,
-    delta: float = 0.05,
-    seed: int = 0,
-    max_vertices: int = MAX_DENSE_VERTICES,
-) -> tuple[NoisyEstimate, float]:
-    """Full pipeline on one instance; returns the estimate and exact moment.
-
-    The noise model is the one planned for accuracy eps.
-    """
-    if m is None:
-        m = instance.m
-    eta, theta = plan_noise(eps, m, instance.c)
-    n = hoeffding_samples(eps, delta)
-    est, exact, _ = estimate_with_noise(
-        instance, m, eta, theta, n, seed=seed, delta=delta, max_vertices=max_vertices
-    )
-    return est, exact

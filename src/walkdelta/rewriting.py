@@ -4,15 +4,12 @@ A rewriting system is a finite alphabet plus a symmetric relation on
 equal-length substrings.  Strings of a fixed length L are the vertices of an
 implicit graph; two strings are adjacent when one can be obtained from the
 other by replacing a single related substring in place.  The engine counts
-walks in that graph exactly (arbitrary-precision integers) or in rescaled
-floating point.
+walks in that graph exactly, in arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -22,14 +19,6 @@ class RewriteError(Exception):
 
 class BudgetExceeded(RewriteError):
     """A configured enumeration or vertex budget was exhausted."""
-
-
-class ScaleRangeError(RewriteError):
-    """A rescaled float entry left the representable range."""
-
-
-class NonRegularGraph(RewriteError):
-    """Reachable component is not degree-regular where regularity is required."""
 
 
 @dataclass(frozen=True)
@@ -46,12 +35,6 @@ class Alphabet:
 
     def __len__(self):
         return len(self.tokens)
-
-    def index(self, token: str) -> int:
-        try:
-            return self.tokens.index(token)
-        except ValueError:
-            raise RewriteError(f"unknown token {token!r}") from None
 
     def encode(self, tokens: Sequence[str]) -> tuple[int, ...]:
         lookup = {t: i for i, t in enumerate(self.tokens)}
@@ -257,36 +240,6 @@ def count_walks(system, s: tuple[int, ...], t: tuple[int, ...], n: int) -> int:
     return v.value(t)
 
 
-def delta_scaled(system, s, t, t_prime, n: int, c: float) -> float:
-    """Approximate Delta(n) / c^n without big-integer blowup.
-
-    Maintains a float-valued vector rescaled by 1/c after every step.  The
-    accumulated relative error is bounded by roughly n * machine epsilon *
-    (max frontier degree); in practice far below 1e-9 on anything the exact
-    path can also compute.
-    """
-    if c <= 0:
-        raise RewriteError("scale c must be positive")
-    _check_walk(n, s, t, t_prime)
-    space = WalkSpace(system)
-    vec: dict[int, float] = {space.intern(s): 1.0}
-    for _ in range(n):
-        out: dict[int, float] = {}
-        for sid, value in vec.items():
-            for nb in space.adjacency(sid):
-                out[nb] = out.get(nb, 0.0) + value
-        vec = {}
-        for sid, value in out.items():
-            scaled = value / c
-            if math.isinf(scaled):
-                raise ScaleRangeError("scaled walk entry overflowed")
-            if value != 0.0 and scaled == 0.0:
-                raise ScaleRangeError("scaled walk entry underflowed to zero")
-            if scaled != 0.0:
-                vec[sid] = scaled
-    return vec.get(space.intern(t), 0.0) - vec.get(space.intern(t_prime), 0.0)
-
-
 def brute_force_count(system, s, t, n: int, node_limit: int = 1_000_000) -> int:
     """Reference semantics for count_walks: enumerate every length-n walk.
 
@@ -312,26 +265,3 @@ def brute_force_count(system, s, t, n: int, node_limit: int = 1_000_000) -> int:
 
     return walk(space.intern(s), n)
 
-
-def walk_probability(system, s, t, m: int) -> Fraction:
-    """Exact probability (A^m)_{s,t} / d^m of a d-regular random walk.
-
-    Every vertex expanded during the computation is checked for degree d;
-    a mismatch raises NonRegularGraph.
-    """
-    _check_walk(m, s)
-    space = WalkSpace(system)
-    sid0 = space.intern(s)
-    degree = len(space.adjacency(sid0))
-    if degree == 0:
-        raise NonRegularGraph("seed vertex has degree 0")
-    v = WalkVector.basis(space, s)
-    for _ in range(m):
-        for sid in v.entries:
-            got = len(space.adjacency(sid))
-            if got != degree:
-                raise NonRegularGraph(
-                    f"vertex {space.string(sid)} has degree {got}, expected {degree}"
-                )
-        v = step(system, v)
-    return Fraction(v.value(t), degree**m)

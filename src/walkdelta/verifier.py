@@ -70,8 +70,6 @@ class ReachableGraph(WalkSpace):
 
     def __init__(self, system, seeds, max_vertices: int = 100_000):
         super().__init__(system)
-        if isinstance(seeds, tuple) and seeds and isinstance(seeds[0], int):
-            seeds = [seeds]
         for seed in seeds:
             self.intern(seed)
         sid = 0

@@ -14,7 +14,6 @@ from walkdelta.circuits import (
     R2_ZERO,
     Root2Frac,
     apply,
-    apply_float,
     overlap,
     parse_circuit,
     serialize_circuit,
@@ -142,6 +141,33 @@ def test_unitarity_preserves_norm():
         for amp in state.values():
             norm = norm + amp * amp
         assert norm == R2_ONE
+
+
+def apply_float(circuit, bits) -> dict[int, float]:
+    """Float oracle for apply(): the same gates, amplitudes in doubles."""
+    inv = 1.0 / math.sqrt(2)
+    idx = sum(b << q for q, b in enumerate(bits))
+    state: dict[int, float] = {idx: 1.0}
+    for layer in circuit.layers:
+        for gate in layer:
+            out: dict[int, float] = {}
+            q = gate.qubit
+            for i, amp in state.items():
+                if gate.kind == "h":
+                    bit = (i >> q) & 1
+                    out[i & ~(1 << q)] = out.get(i & ~(1 << q), 0.0) + amp * inv
+                    hi = i | (1 << q)
+                    out[hi] = out.get(hi, 0.0) + (-amp if bit else amp) * inv
+                elif gate.kind == "swap":
+                    b0 = (i >> q) & 1
+                    b1 = (i >> (q + 1)) & 1
+                    new = (i & ~(1 << q) & ~(1 << (q + 1))) | (b1 << q) | (b0 << (q + 1))
+                    out[new] = out.get(new, 0.0) + amp
+                else:
+                    j = i ^ (1 << (q + 2)) if ((i >> q) & 1 and (i >> (q + 1)) & 1) else i
+                    out[j] = out.get(j, 0.0) + amp
+            state = out
+    return state
 
 
 def test_exact_matches_float():

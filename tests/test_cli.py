@@ -80,11 +80,16 @@ def test_delta_exact_and_scaled_agree_in_sign(workspace, capsys):
     code, doc = run(capsys, ["delta", "--instance", str(instance), "--steps", "63"])
     assert code == 1
     assert doc["outputs"]["delta"] == "-2147483648"
-    code2, doc2 = run(
-        capsys, ["delta", "--instance", str(instance), "--steps", "63", "--scaled"]
-    )
-    assert code2 == 1
-    assert doc2["outputs"]["sign"] == doc["outputs"]["sign"] == -1
+    assert doc["outputs"]["sign"] == -1
+    assert doc["inputs"] == {"instance": str(instance), "steps": 63}
+
+
+def test_delta_scaled_option_removed(workspace, capsys):
+    _, _, instance = workspace
+    assert cli.main(["delta", "--instance", str(instance), "--steps", "63", "--scaled"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --scaled" in captured.err
 
 
 def test_delta_four_cycle_toy(tmp_path, capsys):
@@ -264,8 +269,20 @@ def test_spectral_past_float_range(capsys):
         ["--eta", "-1"],
         ["--theta", "2"],
         ["--m", "-3"],
+        ["--seed", "-1"],
+        ["--eta", "inf"],
+        ["--vertex-budget", "-1"],
     ],
-    ids=["samples-0", "samples-negative", "eta-negative", "theta-above-1", "m-negative"],
+    ids=[
+        "samples-0",
+        "samples-negative",
+        "eta-negative",
+        "theta-above-1",
+        "m-negative",
+        "seed-negative",
+        "eta-infinite",
+        "vertex-budget-negative",
+    ],
 )
 def test_estimate_argument_out_of_range_exit_2(workspace, capsys, bad):
     _, _, instance = workspace
@@ -274,6 +291,15 @@ def test_estimate_argument_out_of_range_exit_2(workspace, capsys, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {bad[0]}: {bad[1]} is outside" in captured.err
+
+
+def test_compile_vertex_budget_below_1_exit_2(workspace, capsys):
+    root, circuit, _ = workspace
+    out = root / "budget.json"
+    argv = ["compile", "--circuit", str(circuit), "--input", "0", "-o", str(out)]
+    assert cli.main(argv + ["--vertex-budget", "-1"]) == 2
+    assert "argument --vertex-budget: -1 is outside" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_delta_negative_steps_exit_2(workspace, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from walkdelta import estimator, verifier
+from walkdelta import verifier
 from walkdelta.circuits import parse_circuit
 from walkdelta.clock import compile_circuit
 from walkdelta.estimator import (
@@ -14,7 +14,6 @@ from walkdelta.estimator import (
     clipped_power,
     clipped_powers,
     delta_moment,
-    estimate_instance,
     hoeffding_halfwidth,
     hoeffding_samples,
     noisy_estimate,
@@ -172,13 +171,6 @@ def test_noisy_estimate_within_bound(h_measures):
         if abs(est.value - exact) <= est.error_bound:
             hits += 1
     assert hits >= int(0.9 * trials)
-
-
-def test_estimate_instance_pipeline():
-    inst = compile_circuit(parse_circuit("qubits 1\nh 0"), [0])
-    est, exact = estimate_instance(inst, seed=4)
-    assert est.samples == 30
-    assert abs(est.value - exact) <= est.error_bound
 
 
 def test_vertex_guard():

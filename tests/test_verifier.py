@@ -49,7 +49,7 @@ def four_cycle_system():
 
 def test_reachable_graph_four_cycle():
     system = four_cycle_system()
-    graph = ReachableGraph(system, (0, 0))
+    graph = ReachableGraph(system, [(0, 0)])
     assert len(graph) == 4
     assert all(len(row) == 2 for row in graph.adj)
 
@@ -57,7 +57,7 @@ def test_reachable_graph_four_cycle():
 def test_reachable_graph_budget():
     system = four_cycle_system()
     with pytest.raises(VerifyError):
-        ReachableGraph(system, (0, 0, 0), max_vertices=4)
+        ReachableGraph(system, [(0, 0, 0)], max_vertices=4)
 
 
 def test_reachable_graph_multiple_seeds():
