@@ -159,7 +159,9 @@ class WalkSpace:
     step; interning keys all maps by small integers and the adjacency of
     each vertex is generated once, on first use. ``strings[i]`` is the
     string of id i, ``index`` maps it back, and ``adj[i]`` holds the sorted
-    neighbor ids of i, or None until first asked for.
+    neighbor ids of i, or None until first asked for. ``multiple`` holds the
+    ids whose generated adjacency had a neighbor derivable in more than one
+    way; the 0/1 adjacency counts such an edge once.
     """
 
     def __init__(self, system):
@@ -167,6 +169,7 @@ class WalkSpace:
         self.index: dict[tuple[int, ...], int] = {}
         self.strings: list[tuple[int, ...]] = []
         self.adj: list[tuple[int, ...] | None] = []
+        self.multiple: set[int] = set()
 
     def intern(self, s: tuple[int, ...]) -> int:
         sid = self.index.get(s)
@@ -177,16 +180,26 @@ class WalkSpace:
             self.adj.append(None)
         return sid
 
-    def string(self, sid: int) -> tuple[int, ...]:
-        return self.strings[sid]
-
     def adjacency(self, sid: int) -> tuple[int, ...]:
         cached = self.adj[sid]
         if cached is None:
             nbrs = self.system.weighted_neighbors(self.strings[sid])
+            if sum(nbrs.values()) != len(nbrs):
+                self.multiple.add(sid)
             cached = tuple(sorted(self.intern(t) for t in nbrs))
             self.adj[sid] = cached
         return cached
+
+    def multiply(self, entries: dict[int, int]) -> dict[int, int]:
+        """The adjacency matrix times an integer vector keyed by id.
+
+        Entries that cancel to zero are kept; walk vectors never have any.
+        """
+        out: dict[int, int] = {}
+        for sid, count in entries.items():
+            for nb in self.adjacency(sid):
+                out[nb] = out.get(nb, 0) + count
+        return out
 
     def __len__(self):
         return len(self.strings)
@@ -207,20 +220,12 @@ class WalkVector:
     def basis(cls, space: WalkSpace, s: tuple[int, ...]) -> "WalkVector":
         return cls(space, {space.intern(s): 1})
 
-    def value(self, s: tuple[int, ...]) -> int:
-        return self.entries.get(self.space.intern(s), 0)
-
 
 def step(system, v: WalkVector) -> WalkVector:
     """Multiply by the adjacency matrix once: one replacement everywhere."""
     if v.space.system is not system:
         raise RewriteError("vector belongs to a different system")
-    space = v.space
-    out: dict[int, int] = {}
-    for sid, count in v.entries.items():
-        for nb in space.adjacency(sid):
-            out[nb] = out.get(nb, 0) + count
-    return WalkVector(space, out)
+    return WalkVector(v.space, v.space.multiply(v.entries))
 
 
 def _check_walk(n: int, *strings: tuple[int, ...]) -> None:
@@ -237,7 +242,7 @@ def count_walks(system, s: tuple[int, ...], t: tuple[int, ...], n: int) -> int:
     v = WalkVector.basis(space, s)
     for _ in range(n):
         v = step(system, v)
-    return v.value(t)
+    return v.entries.get(space.index.get(t), 0)
 
 
 def brute_force_count(system, s, t, n: int, node_limit: int = 1_000_000) -> int:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import spectral
-from .circuits import Circuit, R2_INV_SQRT2, R2_ONE, R2_SQRT2, R2_ZERO, Root2Frac, overlap
+from .circuits import Circuit, R2_INV_SQRT2, R2_ONE, Root2Frac, overlap
 from .clock import CompiledInstance, backward_images, forward_images
 from .rewriting import WalkSpace, WalkVector, _check_walk, step
 
@@ -80,57 +80,49 @@ class ReachableGraph(WalkSpace):
             sid += 1
 
 
-Amplitudes = dict[tuple[int, ...], Root2Frac]
-
-
-def _forward_step(instance: CompiledInstance, vec: Amplitudes) -> tuple[Amplitudes, bool]:
-    """Apply the forward operator scaled by 1/sqrt(2).
+def _forward_step(space: WalkSpace, w: dict[int, int]) -> tuple[dict[int, int], bool]:
+    """Apply the forward operator F to an integer vector keyed by id.
 
     Also reports whether every support string had its forward images in
-    exactly one window (the clockwork uniqueness property).
+    at most one window (the clockwork uniqueness property).
     """
-    out: Amplitudes = {}
+    out: dict[int, int] = {}
     unique = True
-    for s, coef in vec.items():
-        scaled = coef * R2_INV_SQRT2
+    for sid, coef in w.items():
+        s = space.strings[sid]
         active_windows = 0
         for j in range(len(s) - 2):
             imgs = forward_images(s[j : j + 3])
             if imgs:
                 active_windows += 1
                 for img in imgs:
-                    t = s[:j] + img + s[j + 3 :]
-                    cur = out.get(t, R2_ZERO) + scaled
-                    if cur.is_zero():
-                        out.pop(t, None)
-                    else:
+                    t = space.intern(s[:j] + img + s[j + 3 :])
+                    cur = out.get(t, 0) + coef
+                    if cur:
                         out[t] = cur
+                    else:
+                        out.pop(t, None)
         if active_windows > 1:
             unique = False
     return out, unique
 
 
-def _dot(u: Amplitudes, v: Amplitudes) -> Root2Frac:
-    if len(v) < len(u):
-        u, v = v, u
-    total = R2_ZERO
-    for s, coef in u.items():
-        other = v.get(s)
-        if other is not None:
-            total = total + coef * other
-    return total
-
-
-def orbit_check(instance: CompiledInstance, report: VerificationReport) -> None:
+def orbit_check(
+    instance: CompiledInstance, report: VerificationReport, space: WalkSpace | None = None
+) -> None:
     """Exact path-graph structure of the forward orbit.
 
-    Builds u_0 = (t - t') / sqrt(2) and u_{i+1} = F u_i / sqrt(2); verifies
-    no backward step out of the initial strings, termination after ell steps,
-    orthonormality (unit norms, disjoint supports) and H u_j = sqrt(2)
-    (u_{j-1} + u_{j+1}) with single derivations: the tridiagonal restricted
-    matrix, at a cost linear in the orbit's support.
+    The orbit u_0 = (t - t') / sqrt(2), u_{j+1} = F u_j / sqrt(2) is held as
+    the integer vectors w_j = sqrt(2)^(j+1) u_j = F^j (e_t - e_t') on the
+    ids of the given walk space (or a new one). Verifies no backward step
+    out of the initial strings, termination after ell steps, orthonormality
+    (|w_j|^2 = 2^(j+1), disjoint supports) and A w_j = 2 w_{j-1} + w_{j+1}
+    with single derivations: the tridiagonal restricted matrix, at a cost
+    linear in the orbit's support.
     """
     ell = instance.ell
+    if space is None:
+        space = WalkSpace(instance.system)
 
     bad = []
     for string, label in ((instance.t, "t"), (instance.t_prime, "t_prime")):
@@ -139,41 +131,39 @@ def orbit_check(instance: CompiledInstance, report: VerificationReport) -> None:
                 bad.append((label, j))
     report.add("no_backward_step_from_start", not bad, offending=bad)
 
-    u: list[Amplitudes] = [{instance.t: R2_INV_SQRT2, instance.t_prime: -R2_INV_SQRT2}]
+    w = [{space.intern(instance.t): 1, space.intern(instance.t_prime): -1}]
     unique_all = True
     for i in range(ell - 1):
-        nxt, unique = _forward_step(instance, u[-1])
+        nxt, unique = _forward_step(space, w[-1])
         unique_all = unique_all and unique
         if not nxt:
             report.add("orbit_length", False, stopped_at=i + 1, expected=ell)
             return
-        u.append(nxt)
+        w.append(nxt)
     report.add("forward_window_unique", unique_all)
 
-    terminal, _ = _forward_step(instance, u[-1])
+    terminal, _ = _forward_step(space, w[-1])
     report.add("orbit_terminates", not terminal, extra_support=len(terminal))
 
-    disjoint = len(set().union(*u)) == sum(map(len, u))
-    ortho_ok = disjoint and all(_dot(uj, uj) == R2_ONE for uj in u)
+    support = set().union(*w)
+    disjoint = len(support) == sum(map(len, w))
+    ortho_ok = disjoint and all(
+        sum(c * c for c in wj.values()) == 1 << (j + 1) for j, wj in enumerate(w)
+    )
     report.add("orbit_orthonormal", ortho_ok)
 
     mismatch = None
-    single = True
-    for j, uj in enumerate(u):
-        h_u: Amplitudes = {}
-        for s, coef in uj.items():
-            for t, w in instance.system.weighted_neighbors(s).items():
-                single = single and w == 1
-                h_u[t] = h_u.get(t, R2_ZERO) + coef * Root2Frac(w, 0, 0)
-        want: Amplitudes = {}
-        for uk in (u[k] for k in (j - 1, j + 1) if 0 <= k < ell):
-            for s, coef in uk.items():
-                want[s] = want.get(s, R2_ZERO) + coef * R2_SQRT2
-        got = {t: c for t, c in h_u.items() if not c.is_zero()}
+    for j, wj in enumerate(w):
+        want: dict[int, int] = {}
+        for k, scale in ((j - 1, 2), (j + 1, 1)):
+            if 0 <= k < ell:
+                for sid, c in w[k].items():
+                    want[sid] = want.get(sid, 0) + scale * c
+        got = {sid: c for sid, c in space.multiply(wj).items() if c}
         if mismatch is None and got != want:
             mismatch = j
     report.add("restricted_hamiltonian_is_path", mismatch is None, mismatch=mismatch)
-    report.add("orbit_edges_single_derivation", single)
+    report.add("orbit_edges_single_derivation", space.multiple.isdisjoint(support))
 
 
 def exact_deltas(
@@ -326,7 +316,7 @@ def verify(
 ) -> VerificationReport:
     report = VerificationReport()
     space = WalkSpace(instance.system)
-    orbit_check(instance, report)
+    orbit_check(instance, report, space)
     end_to_end(instance, circuit, x, report, max_n=max_n, space=space)
     sign_and_promise_check(instance, circuit, x, report, space=space)
     return report

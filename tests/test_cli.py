@@ -261,6 +261,13 @@ def test_spectral_past_float_range(capsys):
     assert doc["outputs"]["corner_float"] == doc["outputs"]["upper"] == float("inf")
 
 
+def test_spectral_corner_past_int_str_limit(capsys):
+    # 2^14999 has 4,516 digits, past Python's default int-to-str limit
+    code, doc = run(capsys, ["spectral", "--ell", "3", "--m", "30000"])
+    assert code == 0
+    assert doc["outputs"]["corner"] == str(2**14999)
+
+
 @pytest.mark.parametrize(
     "bad",
     [

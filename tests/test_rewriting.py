@@ -125,7 +125,7 @@ def test_matches_brute_force(pair, n):
     v = WalkVector.basis(space, s)
     for _ in range(n):
         v = step(sys_, v)
-    targets = {space.string(sid) for sid in v.entries} | {s}
+    targets = {space.strings[sid] for sid in v.entries} | {s}
     for t in targets:
         assert count_walks(sys_, s, t, n) == brute_force_count(sys_, s, t, n)
 
@@ -139,12 +139,12 @@ def test_chapman_kolmogorov(pair, n1, n2):
     v = WalkVector.basis(space, s)
     for _ in range(n1):
         v = step(sys_, v)
-    mid = {space.string(sid): c for sid, c in v.entries.items()}
+    mid = {space.strings[sid]: c for sid, c in v.entries.items()}
     w = v
     for _ in range(n2):
         w = step(sys_, w)
     for sid, total in list(w.entries.items())[:5]:
-        t = space.string(sid)
+        t = space.strings[sid]
         split = sum(c * count_walks(sys_, u, t, n2) for u, c in mid.items())
         assert split == total
 

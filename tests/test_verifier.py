@@ -1,11 +1,12 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 
 from walkdelta import verifier
 from walkdelta.circuits import R2_INV_SQRT2, R2_ONE, R2_SQRT2, R2_ZERO, Root2Frac, parse_circuit
-from walkdelta.clock import ClockSystem, compile_circuit
+from walkdelta.clock import ClockSystem, compile_circuit, forward_images
 from walkdelta.rewriting import (
     Alphabet,
     RewriteError,
@@ -183,19 +184,56 @@ def test_exact_deltas_rejects_negative_length(h_setup):
     assert exact_deltas(inst, 0) == [0]
 
 
+Amplitudes = dict[tuple[int, ...], Root2Frac]
+
+
+def forward_step_oracle(inst, vec: Amplitudes) -> Amplitudes:
+    """The forward operator scaled by 1/sqrt(2), in Z[sqrt 2] on strings."""
+    out: Amplitudes = {}
+    for s, coef in vec.items():
+        scaled = coef * R2_INV_SQRT2
+        for j in range(len(s) - 2):
+            for img in forward_images(s[j : j + 3]):
+                t = s[:j] + img + s[j + 3 :]
+                cur = out.get(t, R2_ZERO) + scaled
+                if cur.is_zero():
+                    out.pop(t, None)
+                else:
+                    out[t] = cur
+    return out
+
+
+def dot_oracle(u: Amplitudes, v: Amplitudes) -> Root2Frac:
+    total = R2_ZERO
+    for s, coef in u.items():
+        other = v.get(s)
+        if other is not None:
+            total = total + coef * other
+    return total
+
+
 def orbit_vectors(inst):
     u = [{inst.t: R2_INV_SQRT2, inst.t_prime: -R2_INV_SQRT2}]
     for _ in range(inst.ell - 1):
-        u.append(verifier._forward_step(inst, u[-1])[0])
+        u.append(forward_step_oracle(inst, u[-1]))
     return u
 
 
+def integer_orbit(inst):
+    """w_0 = e_t - e_t', w_{j+1} = F w_j, as orbit_check builds them."""
+    space = WalkSpace(inst.system)
+    w = [{space.intern(inst.t): 1, space.intern(inst.t_prime): -1}]
+    for _ in range(inst.ell - 1):
+        w.append(verifier._forward_step(space, w[-1])[0])
+    return space, w
+
+
 def gram_oracle(inst):
-    """The O(ell^2) Gram and <u_i, H u_j> comparisons, from _dot alone."""
+    """The O(ell^2) Gram and <u_i, H u_j> comparisons, from dot_oracle alone."""
     u = orbit_vectors(inst)
     ell = len(u)
     ortho = all(
-        verifier._dot(u[i], u[j]) == (R2_ONE if i == j else R2_ZERO)
+        dot_oracle(u[i], u[j]) == (R2_ONE if i == j else R2_ZERO)
         for i in range(ell)
         for j in range(i, ell)
     )
@@ -207,7 +245,7 @@ def gram_oracle(inst):
                 out[t] = out.get(t, R2_ZERO) + coef * Root2Frac(w, 0, 0)
         h_u.append(out)
     path = all(
-        verifier._dot(u[i], h_u[j]) == (R2_SQRT2 if abs(i - j) == 1 else R2_ZERO)
+        dot_oracle(u[i], h_u[j]) == (R2_SQRT2 if abs(i - j) == 1 else R2_ZERO)
         for i in range(ell)
         for j in range(ell)
     )
@@ -233,6 +271,12 @@ def orbit_results(inst):
 def test_orbit_checks_agree_with_gram_oracle(text, x):
     inst = compile_circuit(parse_circuit(text), x)
     assert orbit_results(inst) == gram_oracle(inst) == (True, True)
+    # u_j = w_j / sqrt(2)^(j+1), entry by entry
+    space, w = integer_orbit(inst)
+    scale = R2_ONE
+    for wj, uj in zip(w, orbit_vectors(inst), strict=True):
+        scale = scale * R2_INV_SQRT2
+        assert {space.strings[sid]: Root2Frac(c, 0, 0) * scale for sid, c in wj.items()} == uj
 
 
 def test_dropped_orbit_edge_fails_path_check(h_setup, monkeypatch):
@@ -248,3 +292,35 @@ def test_dropped_orbit_edge_fails_path_check(h_setup, monkeypatch):
 
     monkeypatch.setattr(ClockSystem, "weighted_neighbors", dropped)
     assert orbit_results(inst) == gram_oracle(inst) == (True, False)
+
+
+def test_doubled_orbit_edge_fails_single_derivation(h_setup, monkeypatch):
+    circuit, x, inst = h_setup
+    u1 = set(orbit_vectors(inst)[1])
+    original = ClockSystem.weighted_neighbors
+
+    def doubled(system, s):
+        out = original(system, s)
+        if s == inst.t:
+            out[min(u1 & out.keys())] *= 2
+        return out
+
+    monkeypatch.setattr(ClockSystem, "weighted_neighbors", doubled)
+    report = verify(inst, circuit, x)
+    checks = {c.name: c.passed for c in report.checks}
+    assert checks["orbit_edges_single_derivation"] is False
+    assert not report.all_passed
+
+
+def test_verify_generates_each_neighbourhood_once(h_setup, monkeypatch):
+    circuit, x, inst = h_setup
+    calls = Counter()
+    original = ClockSystem.weighted_neighbors
+
+    def counted(system, s):
+        calls[s] += 1
+        return original(system, s)
+
+    monkeypatch.setattr(ClockSystem, "weighted_neighbors", counted)
+    assert verify(inst, circuit, x).all_passed
+    assert calls and max(calls.values()) == 1
