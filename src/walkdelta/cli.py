@@ -295,7 +295,7 @@ def main(argv=None) -> int:
         spectral.SpectralError,
         json.JSONDecodeError,
         KeyError,
-        FileNotFoundError,
+        OSError,
     ) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -24,14 +24,15 @@ on the simulator track, keeping all matrix entries in {0, 1}.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .circuits import Circuit, CircuitError, Gate, validate
-from .rewriting import Alphabet
+from .circuits import Circuit, Gate, validate
+from .rewriting import Alphabet, RewritingSystem
 from . import spectral
 
 
@@ -65,13 +66,13 @@ DATA_NAMES = ("D0", "D1", "SEP", "DOT")
 
 GATE_CODE = {"h": GATE_H, "swap": GATE_S, "toffoli": GATE_T}
 
-# aux/sim transport tags: RIGHT swaps the aux and sim bits of cells 0,1,
-# LEFT swaps cells -1,0.  The carried bits must land wherever the next
-# step's Hadamard acts, so the turn-around rules transport as well: rule 2
-# hands the bits leftward to the marking signal and rule 6 hands them
-# rightward to the fresh sweep marker, even though the turn symbol itself
-# stays in place.
-RIGHT, LEFT, STAY = range(3)
+# aux/sim transport tags, each the window index of the first of the two
+# cells whose aux and sim bits swap: LEFT swaps cells -1,0, RIGHT swaps
+# cells 0,1.  The carried bits must land wherever the next step's Hadamard
+# acts, so the turn-around rules transport as well: rule 2 hands the bits
+# leftward to the marking signal and rule 6 hands them rightward to the
+# fresh sweep marker, even though the turn symbol itself stays in place.
+LEFT, RIGHT = 0, 1
 
 
 def make_cell(p: int, d: int, a: int, s: int) -> int:
@@ -92,48 +93,57 @@ def clock_alphabet() -> Alphabet:
     return Alphabet(tuple(cell_token(c) for c in range(ALPHABET_SIZE)))
 
 
-def parse_cell_token(token: str) -> int:
-    try:
-        pn, dn, an, sn = token.split(".")
-        return make_cell(
-            PROGRAM_NAMES.index(pn), DATA_NAMES.index(dn), int(an), int(sn)
-        )
-    except (ValueError, IndexError):
-        raise CompileError(f"bad cell token {token!r}") from None
+def _transition_rules() -> list:
+    """The six transition rules as (program pair, data guard, rewritten
+    pair, movement tag).
+
+    The rules read and rewrite the program symbols of cells 0 and 1 (cell -1
+    is context).  Rules 2 and 6 additionally condition on the data symbol
+    under their left and right box respectively: a guard (k, sep) asks that
+    the data symbol of cell k is SEP exactly when sep is true.
+    """
+    rules = []
+    for g in sorted(PLAIN):
+        for marker in (HOLE, EXEC):  # rule 1: marker swaps right past a gate symbol
+            rules.append(((marker, g), None, (g, marker), RIGHT))
+        # rule 3: turn symbol starts the leftward marking
+        rules.append(((g, TURN), None, (g + 5, BLANK), LEFT))
+        for mk in sorted(MARKED):  # rule 4: marking propagates left
+            rules.append(((g, mk), None, (g + 5, mk - 5), LEFT))
+        # rule 5: marking reaches the program start
+        rules.append(((BLANK, g + 5), None, (TURN, g), LEFT))
+    return rules + [
+        # rule 2: marker past the program end turns around
+        ((HOLE, BLANK), (0, False), (TURN, BLANK), LEFT),
+        ((EXEC, BLANK), (0, True), (TURN, BLANK), LEFT),
+        # rule 6: new sweep marker created
+        ((BLANK, TURN), (1, False), (BLANK, HOLE), RIGHT),
+        ((BLANK, TURN), (1, True), (BLANK, EXEC), RIGHT),
+    ]
+
+
+def _group(items) -> dict:
+    table: dict = {}
+    for key, value in items:
+        table.setdefault(key, []).append(value)
+    return table
+
+
+RULES = _transition_rules()
+# forward: program pair -> [(guard, rewritten pair, move)]
+TRANSITIONS = _group((p, (guard, q, move)) for p, guard, q, move in RULES)
+# the derived inverse: rewritten pair -> [(program pair, move)]
+PREDECESSORS = _group((q, (p, move)) for p, guard, q, move in RULES)
 
 
 def transition_match(
-    p_left: int, p0: int, p1: int, d0: int, d1: int
-) -> tuple[tuple[int, int, int], int] | None:
-    """Match the window against the six transition rules.
-
-    The rules read and rewrite program cells 0 and 1 (cell -1 is context).
-    Rules 2 and 6 additionally condition on the data symbol under their left
-    and right box respectively.  Returns the rewritten program triple and the
-    movement tag, or None when no rule applies.
-    """
-    if p0 in (HOLE, EXEC):
-        if p1 in PLAIN:  # rule 1: marker swaps right past a gate symbol
-            return (p_left, p1, p0), RIGHT
-        if p1 == BLANK:  # rule 2: marker past the program end turns around
-            if p0 == HOLE and d0 != SEP:
-                return (p_left, TURN, BLANK), LEFT
-            if p0 == EXEC and d0 == SEP:
-                return (p_left, TURN, BLANK), LEFT
-        return None
-    if p0 in PLAIN:
-        if p1 == TURN:  # rule 3: turn symbol starts the leftward marking
-            return (p_left, p0 + 5, BLANK), LEFT
-        if p1 in MARKED:  # rule 4: marking propagates left
-            return (p_left, p0 + 5, p1 - 5), LEFT
-        return None
-    if p0 == BLANK:
-        if p1 in MARKED:  # rule 5: marking reaches the program start
-            return (p_left, TURN, p1 - 5), LEFT
-        if p1 == TURN:  # rule 6: new sweep marker created
-            if d1 != SEP:
-                return (p_left, BLANK, HOLE), RIGHT
-            return (p_left, BLANK, EXEC), RIGHT
+    p0: int, p1: int, d0: int, d1: int
+) -> tuple[tuple[int, int], int] | None:
+    """The rewritten program pair of cells 0 and 1 and the movement tag of
+    the rule matching the window, or None when no rule applies."""
+    for guard, out, move in TRANSITIONS.get((p0, p1), ()):
+        if guard is None or ((d0, d1)[guard[0]] == SEP) == guard[1]:
+            return out, move
     return None
 
 
@@ -166,9 +176,21 @@ def _tracks(cells: tuple[int, int, int]) -> list[list[int]]:
     return [list(track) for track in zip(*map(split_cell, cells))]
 
 
+def _carry(a: list[int], s: list[int], move: int) -> None:
+    """Move the carried aux/sim bits with the signal, in place.
+
+    A swap of two adjacent cells, so it is its own inverse and undoes
+    itself in a backward step.
+    """
+    a[move], a[move + 1] = a[move + 1], a[move]
+    s[move], s[move + 1] = s[move + 1], s[move]
+
+
 def _images(cells: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
     p, d, a, s = _tracks(cells)
-
+    match = transition_match(p[1], p[2], d[1], d[2])
+    if match is None:  # most windows: return before building branches
+        return ()
     xc = execution_class(p[1], p[2], d[0], d[1], d[2])
     if xc == X_BOUNDARY:
         return ()
@@ -196,84 +218,47 @@ def _images(cells: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
             na[1] = new_bit
             ns = s.copy()
             ns[1] ^= a[1] == 1 and new_bit == 1
-            branches.append((nd.copy(), na, ns))
+            branches.append((nd, na, ns))
 
     # transition phase: rewrite the program cells and move the carried
     # aux/sim bits with the signal
-    match = transition_match(p[0], p[1], p[2], d[1], d[2])
-    if match is None:
-        return ()
-    new_p, move = match
+    (q0, q1), move = match
     out = []
     for nd, na, ns in branches:
-        if move == RIGHT:
-            na[1], na[2] = na[2], na[1]
-            ns[1], ns[2] = ns[2], ns[1]
-        elif move == LEFT:
-            na[0], na[1] = na[1], na[0]
-            ns[0], ns[1] = ns[1], ns[0]
-        out.append(
-            tuple(make_cell(new_p[i], nd[i], na[i], ns[i]) for i in range(3))
-        )
+        _carry(na, ns, move)
+        out.append(tuple(map(make_cell, (p[0], q0, q1), nd, na, ns)))
     return tuple(out)
 
 
 forward_images = lru_cache(maxsize=None)(_images)
 
 
-def _reverse_candidates(p: tuple[int, int, int]) -> list[tuple[tuple[int, int, int], int]]:
-    """Program triples and movement tags whose transition could produce p."""
-    pl, p0, p1 = p
-    cands = []
-    if p0 in PLAIN and p1 in (HOLE, EXEC):  # rule 1 output
-        cands.append(((pl, p1, p0), RIGHT))
-    if p0 == TURN and p1 == BLANK:  # rule 2 output
-        cands.append(((pl, HOLE, BLANK), LEFT))
-        cands.append(((pl, EXEC, BLANK), LEFT))
-    if p0 in MARKED and p1 == BLANK:  # rule 3 output
-        cands.append(((pl, p0 - 5, TURN), LEFT))
-    if p0 in MARKED and p1 in PLAIN:  # rule 4 output
-        cands.append(((pl, p0 - 5, p1 + 5), LEFT))
-    if p0 == TURN and p1 in PLAIN:  # rule 5 output
-        cands.append(((pl, BLANK, p1 + 5), LEFT))
-    if p0 == BLANK and p1 in (HOLE, EXEC):  # rule 6 output
-        cands.append(((pl, BLANK, TURN), RIGHT))
-    return cands
-
-
 def _backward_images(cells: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
     """All triples tau with cells in forward_images(tau).
 
-    Candidate predecessors are generated by inverting the program rewrite and
-    the aux/sim movement, then enumerating the few tracks the execution phase
-    can change; each candidate is confirmed by a forward check.
+    Candidate predecessors come from the inverse of the rule table and the
+    undone aux/sim carry.  The execution phase can only have changed d1, d2,
+    a1 and s1, and it never turns a qubit value into a formatting mark or
+    back, so only those settings are enumerated; each candidate is confirmed
+    by a forward check.
     """
     p, d, a, s = _tracks(cells)
-
+    preds = PREDECESSORS.get((p[1], p[2]))
+    if preds is None:
+        return ()
+    d1s, d2s = ((D0, D1) if x in BINARY else (x,) for x in d[1:])
     out = []
-    seen = set()
-    for prog, move in _reverse_candidates(tuple(p)):
+    for (q0, q1), move in preds:
         ua, us = a.copy(), s.copy()
-        if move == RIGHT:
-            ua[1], ua[2] = ua[2], ua[1]
-            us[1], us[2] = us[2], us[1]
-        elif move == LEFT:
-            ua[0], ua[1] = ua[1], ua[0]
-            us[0], us[1] = us[1], us[0]
-        # execution can only have changed d1, d2, a1, s1
-        for d1c in range(4):
-            for d2c in range(4):
+        _carry(ua, us, move)
+        left = make_cell(p[0], d[0], ua[0], us[0])
+        for d1c in d1s:
+            for d2c in d2s:
+                right = make_cell(q1, d2c, ua[2], us[2])
                 for a1c in (0, 1):
                     for s1c in (0, 1):
-                        cand = (
-                            make_cell(prog[0], d[0], ua[0], us[0]),
-                            make_cell(prog[1], d1c, a1c, s1c),
-                            make_cell(prog[2], d2c, ua[2], us[2]),
-                        )
-                        if cand in seen:
-                            continue
+                        cand = (left, make_cell(q0, d1c, a1c, s1c), right)
                         if cells in forward_images(cand):
-                            seen.add(cand)
                             out.append(cand)
     return tuple(out)
 
@@ -333,6 +318,16 @@ class ScanReport:
         return self.max_images <= 2 and self.self_pairs == 0 and self.bidirectional == 0
 
 
+def _expected_images(p: Sequence[int], d: Sequence[int]) -> int:
+    """Image count of a window with program track p and data track d: two
+    Hadamard branches when a rule applies and no gate annihilates.  Rules 2
+    and 6 condition on data the execution phase cannot have altered (no
+    gate fires there)."""
+    if execution_class(p[1], p[2], d[0], d[1], d[2]) == X_BOUNDARY:
+        return 0
+    return 0 if transition_match(p[1], p[2], d[1], d[2]) is None else 2
+
+
 def scan_rules(spot_checks: int = 20000, seed: int = 0) -> ScanReport:
     """Exhaustive structural scan of the rule relation over all 224^3 triples.
 
@@ -350,43 +345,26 @@ def scan_rules(spot_checks: int = 20000, seed: int = 0) -> ScanReport:
     self_pairs = 0
     windows_matched = 0
     directed = 0
-    inputs: set[tuple[int, int, int]] = set()
-    outputs: set[tuple[int, int, int]] = set()
+    inputs: set[tuple[int, ...]] = set()
+    outputs: set[tuple[int, ...]] = set()
 
-    prog_range = range(N_PROGRAM)
-    data_range = range(N_DATA)
-    for pl in prog_range:
-        for p0 in prog_range:
-            for p1 in prog_range:
-                ptrip = (pl, p0, p1)
-                for dm in data_range:
-                    for d0 in data_range:
-                        for d1 in data_range:
-                            xc = execution_class(p0, p1, dm, d0, d1)
-                            # rules 2 and 6 condition on data the execution
-                            # phase cannot have altered (no gate fires there)
-                            match = transition_match(pl, p0, p1, d0, d1)
-                            expect = 0 if xc == X_BOUNDARY or match is None else 2
-                            rep = (
-                                make_cell(pl, dm, 0, 0),
-                                make_cell(p0, d0, 0, 1),
-                                make_cell(p1, d1, 1, 0),
-                            )
-                            imgs = _images(rep)
-                            if len(imgs) != expect:
-                                raise CompileError(
-                                    f"scan mismatch at {rep}: {len(imgs)} != {expect}"
-                                )
-                            if not imgs:
-                                continue
-                            windows_matched += 1
-                            max_images = max(max_images, len(imgs))
-                            new_p = match[0]
-                            if new_p == ptrip:
-                                self_pairs += 1
-                            inputs.add(ptrip)
-                            outputs.add(new_p)
-                            directed += expect * 64  # aux/sim settings
+    for ptrip in itertools.product(range(N_PROGRAM), repeat=3):
+        for dtrip in itertools.product(range(N_DATA), repeat=3):
+            expect = _expected_images(ptrip, dtrip)
+            rep = tuple(map(make_cell, ptrip, dtrip, (0, 0, 1), (0, 1, 0)))
+            imgs = _images(rep)
+            if len(imgs) != expect:
+                raise CompileError(f"scan mismatch at {rep}: {len(imgs)} != {expect}")
+            if not imgs:
+                continue
+            windows_matched += 1
+            max_images = max(max_images, len(imgs))
+            new_p = tuple(split_cell(c)[0] for c in imgs[0])
+            if new_p == ptrip:
+                self_pairs += 1
+            inputs.add(ptrip)
+            outputs.add(new_p)
+            directed += expect * 64  # aux/sim settings
     # no triple may admit both a forward and a backward step; since the rule
     # patterns constrain only the program track (plus data symbols no rule
     # rewrites), program-level disjointness of inputs and outputs settles it
@@ -396,12 +374,8 @@ def scan_rules(spot_checks: int = 20000, seed: int = 0) -> ScanReport:
     for _ in range(spot_checks):
         trip = tuple(rng.randrange(ALPHABET_SIZE) for _ in range(3))
         imgs = _images(trip)
-        ps = [split_cell(c)[0] for c in trip]
-        ds = [split_cell(c)[1] for c in trip]
-        xc = execution_class(ps[1], ps[2], ds[0], ds[1], ds[2])
-        match = transition_match(ps[0], ps[1], ps[2], ds[1], ds[2])
-        expect = 0 if xc == X_BOUNDARY or match is None else 2
-        if len(imgs) != expect:
+        p, d, _, _ = _tracks(trip)
+        if len(imgs) != _expected_images(p, d):
             raise CompileError(f"spot check mismatch at {trip}")
         for img in imgs:
             if img == trip:
@@ -429,7 +403,6 @@ class Layout:
     data: tuple[int, ...]
     register_start: int  # index of the first qubit cell
     exec_pos: int  # index of the initial execution marker
-    n_qubits: int
 
     @property
     def length(self) -> int:
@@ -520,7 +493,6 @@ def layout(circuit: Circuit, x: Sequence[int]) -> Layout:
         data=tuple(data),
         register_start=register_start,
         exec_pos=p_start + 1,
-        n_qubits=nq,
     )
 
 
@@ -550,15 +522,13 @@ def control_simulate(lay: Layout, max_steps: int = 1_000_000) -> ControlRun:
         annihilating = False
         for j in range(len(prog) - 2):
             p0, p1 = prog[j + 1], prog[j + 2]
-            if p0 == BLANK and p1 == BLANK:
+            match = transition_match(p0, p1, data[j + 1], data[j + 2])
+            if match is None:
                 continue
-            dm, d0, d1 = data[j], data[j + 1], data[j + 2]
-            xc = execution_class(p0, p1, dm, d0, d1)
+            xc = execution_class(p0, p1, data[j], data[j + 1], data[j + 2])
             if xc == X_BOUNDARY:
                 annihilating = True
-                continue
-            match = transition_match(prog[j], p0, p1, d0, d1)
-            if match is not None:
+            else:
                 applicable.append((j, match, xc))
         if not applicable:
             if annihilating:
@@ -572,10 +542,10 @@ def control_simulate(lay: Layout, max_steps: int = 1_000_000) -> ControlRun:
                 f"{len(applicable)} transitions apply at step {len(configs) - 1}: "
                 f"windows {[j for j, _, _ in applicable]}"
             )
-        j, (new_p, _move), xc = applicable[0]
+        j, (new_pair, _move), xc = applicable[0]
         if xc != X_HADAMARD:
             dummy_steps += 1
-        prog[j + 1], prog[j + 2] = new_p[1], new_p[2]
+        prog[j + 1], prog[j + 2] = new_pair
         configs.append(tuple(prog))
     raise CompileError(f"no termination within {max_steps} steps")
 
@@ -618,7 +588,6 @@ class CompiledInstance:
     d_parity: int
     c: float
     epsilon: float
-    block: int
 
     @property
     def length(self) -> int:
@@ -635,42 +604,44 @@ class CompiledInstance:
             "d_parity": self.d_parity,
             "c": self.c,
             "epsilon": self.epsilon,
-            "block": self.block,
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "CompiledInstance":
+    def from_json(cls, doc) -> "CompiledInstance":
         """Load either a generated instance or one with explicit rules.
 
         Instance files produced by the compiler carry the rule-generator
         tag; hand-written instances may instead list explicit rules in the
         rewriting-system format, in which case the clock-specific fields
-        take neutral defaults.
+        take neutral defaults.  Malformed documents raise CompileError.
         """
-        rules = doc["system"].get("rules")
-        if rules == "clock-v1":
-            if list(doc["system"]["alphabet"]) != list(clock_alphabet().tokens):
-                raise CompileError("alphabet mismatch in instance file")
-            system = ClockSystem()
-        elif isinstance(rules, list):
-            from .rewriting import RewritingSystem
-
-            system = RewritingSystem.from_json(doc["system"])
-        else:
-            raise CompileError("unknown rule generator in instance file")
-        alphabet = system.alphabet
-        return cls(
-            system=system,
-            s=tuple(alphabet.encode(doc["s"])),
-            t=tuple(alphabet.encode(doc["t"])),
-            t_prime=tuple(alphabet.encode(doc["t_prime"])),
-            m=int(doc["m"]),
-            ell=int(doc.get("ell", 2)),
-            d_parity=int(doc.get("d_parity", 0)),
-            c=float(doc.get("c", 2.0)),
-            epsilon=float(doc.get("epsilon", 0.0)),
-            block=int(doc.get("block", 0)),
-        )
+        if not isinstance(doc, dict) or not isinstance(doc.get("system"), dict):
+            raise CompileError("instance file must hold an object with a system object")
+        try:
+            rules = doc["system"].get("rules")
+            if rules == "clock-v1":
+                if list(doc["system"]["alphabet"]) != list(clock_alphabet().tokens):
+                    raise CompileError("alphabet mismatch in instance file")
+                system = ClockSystem()
+            elif isinstance(rules, list):
+                system = RewritingSystem.from_json(doc["system"])
+            else:
+                raise CompileError("unknown rule generator in instance file")
+            s, t, t_prime = (system.alphabet.encode(doc[key]) for key in ("s", "t", "t_prime"))
+            fields = dict(
+                m=int(doc["m"]),
+                ell=int(doc.get("ell", 2)),
+                d_parity=int(doc.get("d_parity", 0)),
+                c=float(doc.get("c", 2.0)),
+                epsilon=float(doc.get("epsilon", 0.0)),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CompileError(f"malformed instance file: {exc}") from None
+        if not len(s) == len(t) == len(t_prime) >= system.window:
+            raise CompileError(
+                f"s, t and t' must have one length of at least the window {system.window}"
+            )
+        return cls(system=system, s=s, t=t, t_prime=t_prime, **fields)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -714,7 +685,6 @@ def compile_circuit(
         d_parity=run.d_parity,
         c=c,
         epsilon=epsilon,
-        block=lay.block,
     )
     check_boundary_inert(instance)
     return instance

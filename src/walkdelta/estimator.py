@@ -32,6 +32,8 @@ class EstimateError(Exception):
 
 def build_states(instance: CompiledInstance):
     """The two unit states whose moment difference encodes Delta(m)."""
+    if len({instance.s, instance.t, instance.t_prime}) < 3:
+        raise EstimateError("s, t and t' must be distinct for the states to be unit vectors")
     h = 1.0 / math.sqrt(2.0)
     plus = {instance.s: h, instance.t: 0.5, instance.t_prime: -0.5}
     minus = {instance.s: h, instance.t: -0.5, instance.t_prime: 0.5}
@@ -174,23 +176,12 @@ def delta_moment(plus: SpectralMeasure, minus: SpectralMeasure, m: int, c: float
     return float(diff @ clipped_powers(plus.eigenvalues, m, c)) / math.sqrt(2.0)
 
 
-def clipped_power(x: float, m: int, c: float) -> float:
+def clipped_powers(x: np.ndarray, m: int, c: float) -> np.ndarray:
     """The clipped power map in units of c^m: (x/c)^m saturated to [-1, 1].
 
-    Values above c map to 1, below -c to -1 (to (-1)^m for even m, which the
-    power map gives automatically since (x/c)^m is then >= 1).
+    Clipping r = x/c to [-1, 1] first sends values above c to 1 and values
+    below -c to -1 for odd m and 1 for even m.
     """
-    r = x / c
-    if r > 1.0:
-        return 1.0
-    if r < -1.0:
-        return -1.0 if m % 2 else 1.0
-    return r**m
-
-
-def clipped_powers(x: np.ndarray, m: int, c: float) -> np.ndarray:
-    """``clipped_power`` elementwise: clipping r = x/c to [-1, 1] first sends
-    r > 1 to 1 and r < -1 to (-1)^m, as the scalar map does."""
     return np.clip(x / c, -1.0, 1.0) ** m
 
 
@@ -250,8 +241,7 @@ def _sample_clipped(
     # power map farthest from the true value
     if np.any(adversarial):
         true_f = clipped_powers(lam[adversarial], m, c)
-        f_hi = clipped_power(lam_max, m, c)
-        f_lo = clipped_power(-lam_max, m, c)
+        f_hi, f_lo = clipped_powers(np.array([lam_max, -lam_max]), m, c)
         pick_hi = np.abs(f_hi - true_f) >= np.abs(f_lo - true_f)
         noisy[adversarial] = np.where(pick_hi, lam_max, -lam_max)
     return float(np.mean(clipped_powers(noisy, m, c)))

@@ -186,6 +186,70 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+TOY = {
+    "system": {"alphabet": ["a", "b"], "window": 1, "rules": [[["a"], ["b"]]]},
+    "s": ["a", "a"],
+    "t": ["b", "b"],
+    "t_prime": ["a", "b"],
+    "m": 2,
+}
+
+
+def _clock_short(instance):
+    doc = json.loads(instance.read_text())
+    return {**doc, **{key: doc[key][:2] for key in ("s", "t", "t_prime")}}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        lambda instance: [1, 2],
+        lambda instance: {**TOY, "m": "abc"},
+        lambda instance: {**TOY, "system": {**TOY["system"], "window": "x"}},
+        lambda instance: {**TOY, "system": {**TOY["system"], "rules": [1]}},
+        _clock_short,
+    ],
+    ids=[
+        "not-an-object",
+        "non-numeric-m",
+        "non-numeric-window",
+        "rule-not-a-pair",
+        "clock-shorter-than-window",
+    ],
+)
+def test_malformed_instance_exit_2(workspace, tmp_path, capsys, document):
+    _, _, instance = workspace
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document(instance)))
+    assert cli.main(["delta", "--instance", str(path), "--steps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("command", ["verify", "compile"])
+def test_directory_path_exit_2(workspace, tmp_path, capsys, command):
+    _, circuit, instance = workspace
+    if command == "verify":
+        argv = ["verify", "--instance", str(instance), "--circuit", str(tmp_path), "--input", "0"]
+    else:
+        argv = ["compile", "--circuit", str(circuit), "--input", "0", "-o", str(tmp_path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:")
+
+
+def test_estimate_endpoints_not_distinct_exit_3(tmp_path, capsys):
+    path = tmp_path / "same.json"
+    path.write_text(json.dumps({**TOY, "t": ["a", "a"]}))
+    argv = ["estimate", "--instance", str(path), "--eta", "0", "--theta", "0", "--samples", "10"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource error: s, t and t' must be distinct")
+
+
 def test_resource_error_exit_3(workspace, capsys):
     root, circuit, _ = workspace
     out = root / "tiny.json"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -19,7 +20,12 @@ from walkdelta.clock import (
     GATE_S,
     GATE_T,
     HOLE,
+    LEFT,
+    MARKED,
+    N_PROGRAM,
+    PLAIN,
     PROGRAM_NAMES,
+    RIGHT,
     SEP,
     TURN,
     WINDOW,
@@ -36,7 +42,6 @@ from walkdelta.clock import (
     forward_images,
     layout,
     make_cell,
-    parse_cell_token,
     split_cell,
 )
 
@@ -64,12 +69,47 @@ def test_cell_encoding_round_trip():
     for code in range(ALPHABET_SIZE):
         p, d, a, s = split_cell(code)
         assert make_cell(p, d, a, s) == code
-        assert parse_cell_token(cell_token(code)) == code
+    tokens = [cell_token(code) for code in range(ALPHABET_SIZE)]
+    assert clock_alphabet().encode(tokens) == tuple(range(ALPHABET_SIZE))
 
 
 def test_cell_token_format():
     assert cell_token(make_cell(EXEC, D1, 0, 0)) == "EXEC.D1.0.0"
     assert cell_token(make_cell(GATE_H, SEP, 1, 0)) == "H.SEP.1.0"
+
+
+def _reverse_candidates(p):
+    """Oracle: the six transition rules inverted by hand, as the program
+    triples and movement tags whose transition could produce p."""
+    pl, p0, p1 = p
+    cands = []
+    if p0 in PLAIN and p1 in (HOLE, EXEC):  # rule 1 output
+        cands.append(((pl, p1, p0), RIGHT))
+    if p0 == TURN and p1 == BLANK:  # rule 2 output
+        cands.append(((pl, HOLE, BLANK), LEFT))
+        cands.append(((pl, EXEC, BLANK), LEFT))
+    if p0 in MARKED and p1 == BLANK:  # rule 3 output
+        cands.append(((pl, p0 - 5, TURN), LEFT))
+    if p0 in MARKED and p1 in PLAIN:  # rule 4 output
+        cands.append(((pl, p0 - 5, p1 + 5), LEFT))
+    if p0 == TURN and p1 in PLAIN:  # rule 5 output
+        cands.append(((pl, BLANK, p1 + 5), LEFT))
+    if p0 == BLANK and p1 in (HOLE, EXEC):  # rule 6 output
+        cands.append(((pl, BLANK, TURN), RIGHT))
+    return cands
+
+
+def test_derived_inverse_matches_hand_inverted_rules():
+    for pair in itertools.product(range(N_PROGRAM), repeat=2):
+        want = [(prog[1:], move) for prog, move in _reverse_candidates((BLANK, *pair))]
+        assert clock.PREDECESSORS.get(pair, []) == want, pair
+
+
+def test_every_rule_is_in_the_inverse_of_its_output():
+    assert len(clock.RULES) == 49
+    assert len(clock.TRANSITIONS) == 48
+    for pair, _guard, out, move in clock.RULES:
+        assert (pair, move) in clock.PREDECESSORS[out]
 
 
 def test_blank_window_is_inert():
@@ -242,6 +282,10 @@ def test_instance_json_round_trip(tmp_path):
     path2 = tmp_path / "inst2.json"
     loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
+    # files written before the unused block field was dropped still load
+    old = json.loads(path.read_text())
+    old["block"] = 2
+    assert CompiledInstance.from_json(old).s == inst.s
 
 
 def test_instance_json_rejects_bad_generator(tmp_path):

@@ -11,7 +11,6 @@ from walkdelta.estimator import (
     SpectralMeasure,
     bias_bound,
     build_states,
-    clipped_power,
     clipped_powers,
     delta_moment,
     hoeffding_halfwidth,
@@ -38,6 +37,18 @@ def test_build_states_normalized():
     inst = compile_circuit(parse_circuit("qubits 1\nh 0"), [0])
     for state in build_states(inst):
         assert sum(v * v for v in state.values()) == pytest.approx(1.0)
+
+
+def clipped_power(x: float, m: int, c: float) -> float:
+    """Oracle: the clipped power map of one value, (x/c)^m saturated to
+    [-1, 1]; values above c map to 1, below -c to -1 for odd m and to 1 for
+    even m."""
+    r = x / c
+    if r > 1.0:
+        return 1.0
+    if r < -1.0:
+        return -1.0 if m % 2 else 1.0
+    return r**m
 
 
 def test_clipped_power_examples():
