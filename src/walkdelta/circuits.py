@@ -1,8 +1,8 @@
 """Exact simulation of small {Hadamard, Swap, Toffoli} circuits.
 
 Amplitudes produced by these gates on basis-state inputs always lie in
-Z[sqrt(2)] / 2^e, so the simulator works in exact arithmetic.  A float mode
-exists for cross-checks only.
+Z[sqrt(2)] / 2^e, so the simulator works in exact arithmetic. The state is
+sparse: k Hadamards give at most 2^k amplitudes, whatever the width.
 """
 
 from __future__ import annotations
@@ -16,7 +16,11 @@ class CircuitError(Exception):
     """Malformed circuit or simulation request."""
 
 
-MAX_DENSE_QUBITS = 12
+class SimulationTooLarge(CircuitError):
+    """The state would hold more amplitudes than the simulator keeps."""
+
+
+MAX_AMPLITUDES = 4096
 
 
 @dataclass(frozen=True)
@@ -191,18 +195,19 @@ def apply(circuit: Circuit, bits: Sequence[int]) -> dict[int, Root2Frac]:
         raise CircuitError(f"expected {circuit.n_qubits} input bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
         raise CircuitError("input bits must be 0 or 1")
-    if circuit.n_qubits > MAX_DENSE_QUBITS:
-        raise CircuitError(f"refusing to simulate more than {MAX_DENSE_QUBITS} qubits")
     idx = sum(b << q for q, b in enumerate(bits))
     state: dict[int, Root2Frac] = {idx: R2_ONE}
     for layer in circuit.layers:
         for gate in layer:
             state = _apply_gate_exact(gate, state, circuit.n_qubits)
+            if len(state) > MAX_AMPLITUDES:
+                raise SimulationTooLarge(f"state exceeds {MAX_AMPLITUDES} amplitudes")
     return state
 
 
 def overlap(circuit: Circuit, bits: Sequence[int]) -> Root2Frac:
-    """Exact return amplitude <bits| U |bits>."""
+    """Exact return amplitude <bits,0| U |bits,0>; qubits past the input start at 0."""
+    bits = list(bits) + [0] * (circuit.n_qubits - len(bits))
     idx = sum(b << q for q, b in enumerate(bits))
     return apply(circuit, bits).get(idx, R2_ZERO)
 

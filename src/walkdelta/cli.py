@@ -4,7 +4,8 @@ Subcommands: compile, delta, verify, spectral, estimate. Every command
 prints a schema-versioned JSON document on stdout. Exit codes follow the
 decision-problem convention: 0 = positive sign (or success), 1 = negative
 sign (or failed checks), 2 = parse error, 3 = resource or compile failure,
-4 = zero/undecidable.
+4 = zero/undecidable. Each ``cmd_*`` returns (inputs, outputs, passed, exit
+code); ``main`` alone times it, prints the document and returns the code.
 """
 
 from __future__ import annotations
@@ -16,30 +17,28 @@ import sys
 import time
 
 from . import spectral
-from .circuits import CircuitError, parse_circuit
+from .circuits import CircuitError, SimulationTooLarge, parse_circuit
 from .clock import CompiledInstance, CompileError, compile_circuit
 from .rewriting import BudgetExceeded, RewriteError
 from .verifier import ReachableGraph, VerifyError, exact_deltas, verify
 
 SCHEMA = "walkdelta-result-1"
 
-EXIT_POSITIVE = 0
 EXIT_OK = 0
-EXIT_NEGATIVE = 1
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
-EXIT_UNDECIDABLE = 4
+SIGN_EXIT = {1: 0, -1: 1, 0: 4}  # positive, negative, zero or undecided
 
 
-def _emit(command: str, inputs: dict, outputs: dict, passed: bool | None, t0: float) -> None:
+def _emit(command: str, inputs: dict, outputs: dict, passed: bool | None, seconds: float) -> None:
     doc = {
         "schema": SCHEMA,
         "command": command,
         "inputs": inputs,
         "outputs": outputs,
         "passed": passed,
-        "seconds": round(time.time() - t0, 6),
+        "seconds": round(seconds, 6),
     }
     json.dump(doc, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
@@ -73,8 +72,7 @@ def rule_count(graph: ReachableGraph) -> int:
     return len(pairs)
 
 
-def cmd_compile(args) -> int:
-    t0 = time.time()
+def cmd_compile(args) -> tuple[dict, dict, bool | None, int]:
     circuit = _load_circuit(args.circuit)
     x = _parse_bits(args.input)
     try:
@@ -87,121 +85,88 @@ def cmd_compile(args) -> int:
         max_vertices=args.vertex_budget,
     )
     instance.save(args.out)
-    _emit(
-        "compile",
-        {"circuit": args.circuit, "input": args.input, "m_mode": args.m_mode},
-        {
-            "out": args.out,
-            "ell": instance.ell,
-            "m": instance.m,
-            "c": instance.c,
-            "epsilon": instance.epsilon,
-            "length": instance.length,
-            "alphabet_size": len(instance.system.alphabet.tokens),
-            "window": instance.system.window,
-            "reachable_vertices": len(graph),
-            "rule_count": rule_count(graph),
-        },
-        True,
-        t0,
-    )
-    return EXIT_OK
+    outputs = {
+        "out": args.out,
+        "ell": instance.ell,
+        "m": instance.m,
+        "c": instance.c,
+        "epsilon": instance.epsilon,
+        "length": instance.length,
+        "alphabet_size": len(instance.system.alphabet.tokens),
+        "window": instance.system.window,
+        "reachable_vertices": len(graph),
+        "rule_count": rule_count(graph),
+    }
+    inputs = {"circuit": args.circuit, "input": args.input, "m_mode": args.m_mode}
+    return inputs, outputs, True, EXIT_OK
 
 
-def cmd_delta(args) -> int:
-    t0 = time.time()
+def cmd_delta(args) -> tuple[dict, dict, bool | None, int]:
     instance = CompiledInstance.load(args.instance)
     n = args.steps if args.steps is not None else instance.m
     value = exact_deltas(instance, n)[n]
     sign = (value > 0) - (value < 0)
-    out = {"n": n, "delta": str(value), "sign": sign}
-    _emit("delta", {"instance": args.instance, "steps": n}, out, None, t0)
-    if sign > 0:
-        return EXIT_POSITIVE
-    if sign < 0:
-        return EXIT_NEGATIVE
-    return EXIT_UNDECIDABLE
+    outputs = {"n": n, "delta": str(value), "sign": sign}
+    return {"instance": args.instance, "steps": n}, outputs, None, SIGN_EXIT[sign]
 
 
-def cmd_verify(args) -> int:
-    t0 = time.time()
+def cmd_verify(args) -> tuple[dict, dict, bool | None, int]:
     instance = CompiledInstance.load(args.instance)
     circuit = _load_circuit(args.circuit)
     x = _parse_bits(args.input)
     report = verify(instance, circuit, x, max_n=args.max_steps)
-    _emit(
-        "verify",
-        {"instance": args.instance, "circuit": args.circuit, "input": args.input},
-        report.to_json(),
-        report.all_passed,
-        t0,
-    )
-    return EXIT_OK if report.all_passed else EXIT_FAIL
+    inputs = {"instance": args.instance, "circuit": args.circuit, "input": args.input}
+    passed = report.all_passed
+    return inputs, report.to_json(), passed, EXIT_OK if passed else EXIT_FAIL
 
 
-def cmd_spectral(args) -> int:
-    t0 = time.time()
+def cmd_spectral(args) -> tuple[dict, dict, bool | None, int]:
     corner_exact, corner_float = spectral.corner_entry(args.ell, args.m)
     upper, lower, lower_valid = spectral.bounds(args.ell, args.m)
-    _emit(
-        "spectral",
-        {"ell": args.ell, "m": args.m},
-        {
-            "lambda0": spectral.eigenvalue(args.ell, 0),
-            "w0": spectral.weight(args.ell, 0),
-            "corner": str(corner_exact),
-            "corner_float": corner_float,
-            "upper": upper,
-            "lower": lower,
-            "lower_valid": lower_valid,
-        },
-        None,
-        t0,
-    )
-    return EXIT_OK
+    outputs = {
+        "lambda0": spectral.eigenvalue(args.ell, 0),
+        "w0": spectral.weight(args.ell, 0),
+        "corner": str(corner_exact),
+        "corner_float": corner_float,
+        "upper": upper,
+        "lower": lower,
+        "lower_valid": lower_valid,
+    }
+    return {"ell": args.ell, "m": args.m}, outputs, None, EXIT_OK
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> tuple[dict, dict, bool | None, int]:
     from . import estimator  # numpy: loaded here, not by every command
 
-    t0 = time.time()
     instance = CompiledInstance.load(args.instance)
     m = args.m if args.m is not None else instance.m
     try:
         est, exact, vertices = estimator.estimate_with_noise(
-            instance, m, args.eta, args.theta, args.samples,
-            seed=args.seed, max_vertices=args.vertex_budget,
+            instance, m, args.eta, args.theta, args.samples, seed=args.seed
         )
     except estimator.EstimateError as exc:
         raise ResourceFailure(str(exc))
     sign = (est.value > 0) - (est.value < 0)
     decided = abs(est.value) > est.error_bound
-    _emit(
-        "estimate",
-        {
-            "instance": args.instance,
-            "m": m,
-            "eta": args.eta,
-            "theta": args.theta,
-            "samples": args.samples,
-            "seed": args.seed,
-        },
-        {
-            "estimate": est.value,
-            "exact_clipped": exact,
-            "bias_bound": est.bias_bound,
-            "halfwidth": est.halfwidth,
-            "error_bound": est.error_bound,
-            "sign": sign,
-            "decided": decided,
-            "vertices": vertices,
-        },
-        None,
-        t0,
-    )
-    if not decided:
-        return EXIT_UNDECIDABLE
-    return EXIT_POSITIVE if sign > 0 else EXIT_NEGATIVE
+    inputs = {
+        "instance": args.instance,
+        "m": m,
+        "eta": args.eta,
+        "theta": args.theta,
+        "samples": args.samples,
+        "seed": args.seed,
+    }
+    outputs = {
+        "estimate": est.value,
+        "exact_clipped": exact,
+        "bias_bound": est.bias_bound,
+        "halfwidth": est.halfwidth,
+        "error_bound": est.error_bound,
+        "sign": sign,
+        "decided": decided,
+        "vertices": vertices,
+    }
+    return inputs, outputs, None, SIGN_EXIT[sign if decided else 0]
 
 
 class ResourceFailure(Exception):
@@ -261,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=_in_range(float, 0.0, 1.0), required=True)
     p.add_argument("--samples", type=_in_range(int, 1), required=True)
     p.add_argument("--seed", type=_in_range(int, 0), default=0)
-    p.add_argument("--vertex-budget", type=_in_range(int, 1), default=4000)  # estimator.MAX_DENSE_VERTICES
     p.set_defaults(func=cmd_estimate)
     return parser
 
@@ -277,12 +241,16 @@ def main(argv=None) -> int:
     if args.schema_version != SCHEMA:
         print(f"unsupported schema {args.schema_version!r}", file=sys.stderr)
         return EXIT_PARSE
+    t0 = time.time()
     try:
-        return args.func(args)
+        inputs, outputs, passed, code = args.func(args)
+        _emit(args.command, inputs, outputs, passed, time.time() - t0)
+        return code
     except (
         BudgetExceeded,
         VerifyError,
         ResourceFailure,
+        SimulationTooLarge,
         MemoryError,
         OverflowError,
     ) as exc:

@@ -282,13 +282,12 @@ def estimate_with_noise(
     samples: int,
     seed: int = 0,
     delta: float = 0.05,
-    max_vertices: int = MAX_DENSE_VERTICES,
 ) -> tuple[NoisyEstimate, float, int]:
     """Full pipeline under a given noise model.
 
     Returns the estimate, the exact clipped moment and the component's size.
     """
-    graph = reachable_component(instance, max_vertices=max_vertices)
+    graph = reachable_component(instance)
     plus, minus = (spectral_measure(graph, state) for state in build_states(instance))
     exact = delta_moment(plus, minus, m, instance.c)
     est = noisy_estimate(plus, minus, m, instance.c, eta, theta, samples, seed=seed, delta=delta)

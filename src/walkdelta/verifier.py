@@ -200,7 +200,7 @@ def end_to_end(
     """
     if max_n is None:
         max_n = instance.ell + 5
-    ov = overlap(circuit, list(x) + [0] * (circuit.n_qubits - len(x)))
+    ov = overlap(circuit, x)
     deltas = exact_deltas(instance, max_n, space)
     inv_root = R2_INV_SQRT2 if instance.d_parity else R2_ONE
 
@@ -254,7 +254,7 @@ def sign_and_promise_check(
 ) -> None:
     """Sign decision at the smallest valid walk length, growth and gap promises."""
     ell = instance.ell
-    ov = overlap(circuit, list(x) + [0] * (circuit.n_qubits - len(x)))
+    ov = overlap(circuit, x)
     m_sign = spectral.choose_m(ell, "sign_only")
     deltas = exact_deltas(instance, m_sign, space)
     d_sign = deltas[m_sign]
@@ -274,6 +274,10 @@ def sign_and_promise_check(
     growth_ok = all(within_growth(d, c, n) for n, d in enumerate(deltas) if n > 0)
     growth1_desk = all(within_growth(d, c1, n) for n, d in enumerate(deltas) if n > 0)
     report.add("growth_promise", growth_ok, c=c)
+    if ov.is_zero():
+        report.add("growth_constant_resolution", None, overlap="zero")
+        report.add("gap_promise", None, overlap="zero")
+        return
 
     # at the gap-condition walk length the certified identity gives
     # log |Delta(m)| = m log sqrt(2) + log |ov| + log corner - log sqrt(1+d);
@@ -281,34 +285,30 @@ def sign_and_promise_check(
     # variant fails, settling which eigenvalue belongs in the constant
     m = instance.m
     lam0 = spectral.eigenvalue(ell, 0)
-    if not ov.is_zero():
-        tail = spectral.scaled_corner(ell, m)
-        log_delta_m = (
-            m * (math.log(SQRT2) + math.log(lam0))
-            + math.log(abs(ov.to_float()) * abs(tail))
-            - 0.5 * math.log(1 + instance.d_parity)
-        )
-        growth1_large = log_delta_m <= m * math.log(c1)
-        report.add(
-            "growth_constant_resolution",
-            growth1_desk and not growth1_large,
-            lambda1_variant_holds_desk_scale=growth1_desk,
-            lambda1_variant_holds_at_m=growth1_large,
-            log_margin_vs_lambda1=log_delta_m - m * math.log(c1),
-        )
+    tail = abs(ov.to_float()) * abs(spectral.scaled_corner(ell, m))
+    log_delta_m = (
+        m * (math.log(SQRT2) + math.log(lam0))
+        + math.log(tail)
+        - 0.5 * math.log(1 + instance.d_parity)
+    )
+    growth1_large = log_delta_m <= m * math.log(c1)
+    report.add(
+        "growth_constant_resolution",
+        growth1_desk and not growth1_large,
+        lambda1_variant_holds_desk_scale=growth1_desk,
+        lambda1_variant_holds_at_m=growth1_large,
+        log_margin_vs_lambda1=log_delta_m - m * math.log(c1),
+    )
 
-        # gap promise |Delta(m)| >= eps c^m, via the identity in ratio form
-        margin = abs(ov.to_float()) * abs(tail) / math.sqrt(1 + instance.d_parity)
-        report.add(
-            "gap_promise",
-            margin >= instance.epsilon,
-            margin=margin,
-            epsilon=instance.epsilon,
-            m=m,
-        )
-    else:
-        report.add("growth_constant_resolution", None, overlap="zero")
-        report.add("gap_promise", None, overlap="zero")
+    # gap promise |Delta(m)| >= eps c^m, via the identity in ratio form
+    margin = tail / math.sqrt(1 + instance.d_parity)
+    report.add(
+        "gap_promise",
+        margin >= instance.epsilon,
+        margin=margin,
+        epsilon=instance.epsilon,
+        m=m,
+    )
 
 
 def verify(

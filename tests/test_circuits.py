@@ -8,11 +8,13 @@ from walkdelta.circuits import (
     Circuit,
     CircuitError,
     Gate,
+    MAX_AMPLITUDES,
     R2_INV_SQRT2,
     R2_ONE,
     R2_SQRT2,
     R2_ZERO,
     Root2Frac,
+    SimulationTooLarge,
     apply,
     overlap,
     parse_circuit,
@@ -187,6 +189,20 @@ def test_exact_matches_float():
 def test_overlap_single_h():
     assert overlap(single("h", 0, 1), (0,)) == R2_INV_SQRT2
     assert overlap(single("h", 0, 1), (1,)) == -R2_INV_SQRT2
+
+
+def test_overlap_wide_circuit_pads_input():
+    # the state stays sparse, so width alone is no reason to refuse
+    assert overlap(single("h", 0, 13), (0,)) == R2_INV_SQRT2
+
+
+def test_amplitude_guard():
+    def hadamards(n):
+        return Circuit(n, (tuple(Gate("h", q) for q in range(n)),))
+
+    assert len(apply(hadamards(12), (0,) * 12)) == MAX_AMPLITUDES == 4096
+    with pytest.raises(SimulationTooLarge, match="state exceeds 4096 amplitudes"):
+        apply(hadamards(13), (0,) * 13)
 
 
 class TestTextFormat:

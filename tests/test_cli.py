@@ -141,6 +141,17 @@ def test_verify_golden(workspace, capsys):
     assert doc["outputs"]["sigma"] == -1
 
 
+def test_verify_too_many_amplitudes_exit_3(workspace, tmp_path, capsys):
+    _, _, instance = workspace
+    circuit = tmp_path / "h13.txt"
+    circuit.write_text("qubits 13\n" + "".join(f"h {q}\n" for q in range(13)))
+    argv = ["verify", "--instance", str(instance), "--circuit", str(circuit), "--input", "0"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource error: state exceeds 4096 amplitudes")
+
+
 def test_spectral_command(capsys):
     code, doc = run(capsys, ["spectral", "--ell", "2", "--m", "1"])
     assert code == 0
@@ -290,11 +301,13 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_estimate_budget_default_is_dense_guard():
-    args = cli.build_parser().parse_args(
-        ["estimate", "--instance", "i", "--eta", "0", "--theta", "0", "--samples", "1"]
-    )
-    assert args.vertex_budget == estimator.MAX_DENSE_VERTICES == 4000
+def test_estimate_vertex_budget_option_removed(workspace, capsys):
+    _, _, instance = workspace
+    argv = ["estimate", "--instance", str(instance), "--eta", "0", "--theta", "0", "--samples", "1"]
+    assert cli.main(argv + ["--vertex-budget", "20000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --vertex-budget" in captured.err
 
 
 def test_estimate_error_exit_3(workspace, capsys, monkeypatch):
@@ -342,7 +355,6 @@ def test_spectral_corner_past_int_str_limit(capsys):
         ["--m", "-3"],
         ["--seed", "-1"],
         ["--eta", "inf"],
-        ["--vertex-budget", "-1"],
     ],
     ids=[
         "samples-0",
@@ -352,7 +364,6 @@ def test_spectral_corner_past_int_str_limit(capsys):
         "m-negative",
         "seed-negative",
         "eta-infinite",
-        "vertex-budget-negative",
     ],
 )
 def test_estimate_argument_out_of_range_exit_2(workspace, capsys, bad):
@@ -386,7 +397,7 @@ def test_verify_negative_max_steps_exit_2(workspace, capsys):
     assert "walk length must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ell,m", [("1", "3"), ("5", "-1")])
+@pytest.mark.parametrize("ell,m", [("1", "3"), ("5", "-1"), ("64", "11"), ("64", "100")])
 def test_spectral_bad_arguments_exit_2(capsys, ell, m):
     assert cli.main(["spectral", "--ell", ell, "--m", m]) == 2
     captured = capsys.readouterr()
