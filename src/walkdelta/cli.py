@@ -20,7 +20,7 @@ from . import spectral
 from .circuits import CircuitError, SimulationTooLarge, parse_circuit
 from .clock import CompiledInstance, CompileError, compile_circuit
 from .rewriting import BudgetExceeded, RewriteError
-from .verifier import ReachableGraph, VerifyError, exact_deltas, verify
+from .verifier import ReachableGraph, VerifyError, exact_delta, verify
 
 SCHEMA = "walkdelta-result-1"
 
@@ -104,7 +104,7 @@ def cmd_compile(args) -> tuple[dict, dict, bool | None, int]:
 def cmd_delta(args) -> tuple[dict, dict, bool | None, int]:
     instance = CompiledInstance.load(args.instance)
     n = args.steps if args.steps is not None else instance.m
-    value = exact_deltas(instance, n)[n]
+    value = exact_delta(instance, n)
     sign = (value > 0) - (value < 0)
     outputs = {"n": n, "delta": str(value), "sign": sign}
     return {"instance": args.instance, "steps": n}, outputs, None, SIGN_EXIT[sign]

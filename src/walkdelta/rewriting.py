@@ -193,12 +193,15 @@ class WalkSpace:
     def multiply(self, entries: dict[int, int]) -> dict[int, int]:
         """The adjacency matrix times an integer vector keyed by id.
 
-        Entries that cancel to zero are kept; walk vectors never have any.
+        Entries that cancel to zero, which a signed vector can have, are
+        dropped.
         """
         out: dict[int, int] = {}
         for sid, count in entries.items():
             for nb in self.adjacency(sid):
                 out[nb] = out.get(nb, 0) + count
+        for sid in [sid for sid, count in out.items() if not count]:
+            del out[sid]
         return out
 
     def __len__(self):
@@ -207,10 +210,11 @@ class WalkSpace:
 
 @dataclass
 class WalkVector:
-    """One column of A^n restricted to the strings seen so far.
+    """A^n times an integer start vector, on the strings seen so far.
 
-    Entries map interned string ids to exact integers; zero entries are never
-    stored.
+    The start is e_s for a walk from s (a column of A^n) or a signed vector
+    such as e_t - e_t'. Entries map interned string ids to exact integers;
+    zero entries are never stored.
     """
 
     space: WalkSpace

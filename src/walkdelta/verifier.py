@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import spectral
 from .circuits import Circuit, R2_INV_SQRT2, R2_ONE, Root2Frac, overlap
@@ -159,29 +160,61 @@ def orbit_check(
             if 0 <= k < ell:
                 for sid, c in w[k].items():
                     want[sid] = want.get(sid, 0) + scale * c
-        got = {sid: c for sid, c in space.multiply(wj).items() if c}
+        got = space.multiply(wj)
         if mismatch is None and got != want:
             mismatch = j
     report.add("restricted_hamiltonian_is_path", mismatch is None, mismatch=mismatch)
     report.add("orbit_edges_single_derivation", space.multiple.isdisjoint(support))
 
 
-def exact_deltas(
-    instance: CompiledInstance, max_n: int, space: WalkSpace | None = None
-) -> list[int]:
-    """Delta(n) for n = 0..max_n, one shared frontier propagation, in the
-    given walk space (with the adjacency it already holds) or a new one."""
+def _half_walks(
+    instance: CompiledInstance, max_n: int, space: WalkSpace | None
+) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
+    """The two half walks a_j = A^j e_s and b_k = A^k (e_t - e_t').
+
+    Yields the entries of a_ceil(n/2) and b_floor(n/2) for n = 0..max_n:
+    step n advances a when n is odd and b when n is even. A is symmetric,
+    so Delta(n) = <A^n e_s, e_t - e_t'> = <a_ceil(n/2), b_floor(n/2)>, the
+    same integer as the single walk of n steps from s, from entries of about
+    half its bit length and frontiers of about half its reach.
+    """
     _check_walk(max_n, instance.s, instance.t, instance.t_prime)
     if space is None:
         space = WalkSpace(instance.system)
-    v = WalkVector.basis(space, instance.s)
-    tid = space.intern(instance.t)
+    a = WalkVector.basis(space, instance.s)
+    d = {space.intern(instance.t): 1}
     tpid = space.intern(instance.t_prime)
-    out = [v.entries.get(tid, 0) - v.entries.get(tpid, 0)]
-    for _ in range(max_n):
-        v = step(instance.system, v)
-        out.append(v.entries.get(tid, 0) - v.entries.get(tpid, 0))
-    return out
+    d[tpid] = d.get(tpid, 0) - 1  # t = t' leaves a zero
+    b = WalkVector(space, {sid: c for sid, c in d.items() if c})
+    yield a.entries, b.entries
+    for n in range(1, max_n + 1):
+        if n % 2:
+            a = step(instance.system, a)
+        else:
+            b = step(instance.system, b)
+        yield a.entries, b.entries
+
+
+def _dot(u: dict[int, int], v: dict[int, int]) -> int:
+    if len(u) > len(v):
+        u, v = v, u
+    return sum(c * v[sid] for sid, c in u.items() if sid in v)
+
+
+def exact_deltas(
+    instance: CompiledInstance, max_n: int, space: WalkSpace | None = None
+) -> list[int]:
+    """Delta(n) for n = 0..max_n, one inner product of the half walks per n,
+    in the given walk space (with the adjacency it already holds) or a new
+    one."""
+    return [_dot(a, b) for a, b in _half_walks(instance, max_n, space)]
+
+
+def exact_delta(instance: CompiledInstance, n: int) -> int:
+    """Delta(n) alone: the half walks, then one inner product."""
+    for a, b in _half_walks(instance, n, None):
+        pass
+    return _dot(a, b)
 
 
 def end_to_end(

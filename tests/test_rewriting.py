@@ -70,6 +70,13 @@ class TestFourCycle:
         assert count_walks(sys_, enc("aa"), enc("bb"), 2) == 2
         assert count_walks(sys_, enc("aa"), enc("ab"), 2) == 0
 
+    def test_multiply_drops_cancelled_entries(self):
+        space = WalkSpace(four_cycle())
+        aa, bb, ab = (space.intern(enc(w)) for w in ("aa", "bb", "ab"))
+        # aa and bb share both neighbours, so A (e_aa - e_bb) = 0
+        assert space.multiply({aa: 1, bb: -1}) == {}
+        ba = space.intern(enc("ba"))
+        assert space.multiply({aa: 1, ab: -1}) == {ab: 1, ba: 1, aa: -1, bb: -1}
 
 
 class TestGuards:

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,12 +15,15 @@ from walkdelta.rewriting import (
     RewritingSystem,
     Rule,
     WalkSpace,
+    brute_force_count,
+    count_walks,
     symmetric_close,
 )
 from walkdelta.verifier import (
     ReachableGraph,
     VerificationReport,
     VerifyError,
+    exact_delta,
     exact_deltas,
     sqrt2_power,
     verify,
@@ -80,6 +85,78 @@ def test_exact_deltas_four_cycle():
     toy.t_prime = (0, 1)
     deltas = exact_deltas(toy, 2)
     assert deltas == [0, -1, 2]
+
+
+def path_grid_system():
+    # a-b-c path in each cell of a length-2 string: the 3 x 3 grid graph
+    alph = Alphabet(("a", "b", "c"))
+    return RewritingSystem(alph, 1, [Rule((0,), (1,)), Rule((1,), (2,))])
+
+
+@pytest.mark.parametrize(
+    "system, s, t, t_prime",
+    [
+        (four_cycle_system(), (0, 0), (1, 1), (0, 1)),
+        (four_cycle_system(), (0, 1), (0, 0), (1, 1)),
+        (path_grid_system(), (0, 0), (2, 2), (1, 0)),
+        (path_grid_system(), (1, 1), (0, 0), (2, 0)),
+        (path_grid_system(), (0, 1), (1, 1), (2, 2)),
+    ],
+)
+def test_exact_deltas_toys_match_brute_force(system, s, t, t_prime):
+    toy = SimpleNamespace(system=system, s=s, t=t, t_prime=t_prime)
+    want = [
+        brute_force_count(system, s, t, n) - brute_force_count(system, s, t_prime, n)
+        for n in range(9)
+    ]
+    assert exact_deltas(toy, 8) == want
+    assert [exact_delta(toy, n) for n in range(9)] == want
+
+
+@pytest.mark.parametrize(
+    "text, x",
+    [
+        ("qubits 1\nh 0", [0]),
+        ("qubits 3\ntoffoli 0", [1, 1, 0]),
+        ("qubits 1\nh 0\n---\nh 0", [0]),
+    ],
+)
+def test_exact_deltas_match_single_walk_oracle(text, x):
+    inst = compile_circuit(parse_circuit(text), x)
+    max_n = inst.ell + 5
+    want = [
+        count_walks(inst.system, inst.s, inst.t, n)
+        - count_walks(inst.system, inst.s, inst.t_prime, n)
+        for n in range(max_n + 1)
+    ]
+    assert exact_deltas(inst, max_n) == want
+
+
+def test_exact_delta_matches_exact_deltas(h_setup):
+    _, _, inst = h_setup
+    deltas = exact_deltas(inst, 401)
+    for n in (0, 1, 2, 63, 64, 65, 401):
+        assert exact_delta(inst, n) == deltas[n]
+
+
+def test_equal_endpoints_give_zero_deltas(h_setup):
+    # d = e_t - e_t' is the zero vector, not e_t with the wrong sign
+    _, _, inst = h_setup
+    same = dataclasses.replace(inst, t_prime=inst.t)
+    assert exact_deltas(same, inst.ell + 5) == [0] * (inst.ell + 6)
+    assert exact_delta(same, inst.ell + 1) == 0
+    toy = SimpleNamespace(system=four_cycle_system(), s=(0, 0), t=(1, 1), t_prime=(1, 1))
+    assert exact_deltas(toy, 8) == [0] * 9
+
+
+def test_half_walks_reach_half_as_far():
+    # the ell + 5 deltas from walks of about ell/2 steps: the single walk of
+    # ell + 5 steps from s interned 1,700 strings here
+    inst = compile_circuit(parse_circuit("qubits 2\nh 0\n---\nswap 0"), [0, 0])
+    assert inst.ell == 252
+    space = WalkSpace(inst.system)
+    exact_deltas(inst, inst.ell + 5, space)
+    assert len(space) == 1192
 
 
 def test_verify_h_all_passed(h_setup):
@@ -160,8 +237,6 @@ def test_master_identity_detects_tampering(h_setup):
     circuit, x, inst = h_setup
     # swapping t and t_prime flips the sign of every delta, so the global
     # sigma flips; the identity still holds but sign_decision must notice
-    import dataclasses
-
     swapped = dataclasses.replace(inst, t=inst.t_prime, t_prime=inst.t)
     report = VerificationReport()
     verifier.end_to_end(swapped, circuit, x, report)
