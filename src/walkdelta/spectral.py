@@ -74,32 +74,43 @@ def scaled_corner(ell: int, m: int) -> float:
     return total
 
 
-# ell -> (n, row n of the recurrence), the latest row only
-_rows: dict[int, tuple[int, list[int]]] = {}
+# k -> (n, P^n e_0 on the k-vertex path), the latest column only
+_columns: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+
+def path_column(k: int, n: int) -> tuple[int, ...]:
+    """P^n e_0 for the adjacency matrix P of the k-vertex path.
+
+    Entry j is the exact number of n-step walks from vertex 0 to vertex j,
+    by the recurrence v'_j = v_{j-1} + v_{j+1}. The recurrence resumes from
+    the last column computed for this k unless n is below it: n = 1, 2, ...,
+    N costs N column updates.
+    """
+    _check(k)
+    if n < 0:
+        raise SpectralError("power must be >= 0")
+    done, v = _columns.get(k, (0, None))
+    if v is None or n < done:
+        done, v = 0, (1,) + (0,) * (k - 1)
+    for _ in range(done, n):
+        v = [a + b for a, b in zip((0, *v[:-1]), (*v[1:], 0))]
+    v = tuple(v)
+    _columns[k] = (n, v)
+    return v
 
 
 def corner_entry(ell: int, m: int) -> tuple[int, float]:
     """(0, ell-1) entry of the m-th power of the path adjacency matrix.
 
-    Returns the exact integer (walk count, by the recurrence
-    v'_k = v_{k-1} + v_{k+1}) and scaled_corner times lambda_0^m, +-inf past
-    the float range.  The recurrence resumes from the last row computed for
-    this ell unless m is below it: m = 1, 2, ..., N costs N row updates.
+    Returns the exact integer, entry ell - 1 of ``path_column(ell, m)``, and
+    scaled_corner times lambda_0^m, +-inf past the float range.
     """
-    _check(ell)
-    if m < 0:
-        raise SpectralError("power must be >= 0")
-    n, v = _rows.get(ell, (0, None))
-    if v is None or m < n:
-        n, v = 0, [1] + [0] * (ell - 1)
-    for _ in range(n, m):
-        v = [a + b for a, b in zip([0] + v[:-1], v[1:] + [0])]
-    _rows[ell] = (m, v)
+    exact = path_column(ell, m)[ell - 1]
     total = scaled_corner(ell, m)
     if total == 0.0:
-        return v[ell - 1], 0.0
+        return exact, 0.0
     log_value = math.log(abs(total)) + m * math.log(eigenvalue(ell, 0))
-    return v[ell - 1], math.copysign(_exp(log_value), total)
+    return exact, math.copysign(_exp(log_value), total)
 
 
 def bounds(ell: int, m: int) -> tuple[float, float, bool]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 from . import spectral
@@ -167,6 +168,14 @@ def orbit_check(
     report.add("orbit_edges_single_derivation", space.multiple.isdisjoint(support))
 
 
+def _difference(space: WalkSpace, instance: CompiledInstance) -> dict[int, int]:
+    """e_t - e_t' by accumulation, so that t = t' gives the zero vector."""
+    d = {space.intern(instance.t): 1}
+    tpid = space.intern(instance.t_prime)
+    d[tpid] = d.get(tpid, 0) - 1
+    return {sid: c for sid, c in d.items() if c}
+
+
 def _half_walks(
     instance: CompiledInstance, max_n: int, space: WalkSpace | None
 ) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
@@ -176,16 +185,15 @@ def _half_walks(
     step n advances a when n is odd and b when n is even. A is symmetric,
     so Delta(n) = <A^n e_s, e_t - e_t'> = <a_ceil(n/2), b_floor(n/2)>, the
     same integer as the single walk of n steps from s, from entries of about
-    half its bit length and frontiers of about half its reach.
+    half its bit length and frontiers of about half its reach. Only
+    ``exact_deltas``, and so ``verify``, walks: it is the route independent
+    of the orbit that ``exact_delta`` uses.
     """
     _check_walk(max_n, instance.s, instance.t, instance.t_prime)
     if space is None:
         space = WalkSpace(instance.system)
     a = WalkVector.basis(space, instance.s)
-    d = {space.intern(instance.t): 1}
-    tpid = space.intern(instance.t_prime)
-    d[tpid] = d.get(tpid, 0) - 1  # t = t' leaves a zero
-    b = WalkVector(space, {sid: c for sid, c in d.items() if c})
+    b = WalkVector(space, _difference(space, instance))
     yield a.entries, b.entries
     for n in range(1, max_n + 1):
         if n % 2:
@@ -210,11 +218,48 @@ def exact_deltas(
     return [_dot(a, b) for a, b in _half_walks(instance, max_n, space)]
 
 
+def _orbit(instance: CompiledInstance, space: WalkSpace) -> Iterator[dict[int, int]]:
+    """The three-term orbit w_0 = e_t - e_t', w_{j+1} = A w_j - 2 w_{j-1}.
+
+    Yields each w_j until the next one is zero; the product A w_j is taken
+    only when w_{j+1} is asked for. On a compiled instance this is the
+    forward orbit w_{j+1} = F w_j of ``orbit_check``, of ell vectors.
+    """
+    prev, w = {}, _difference(space, instance)
+    while w:
+        yield w
+        nxt = step(instance.system, WalkVector(space, w)).entries
+        for sid, c in prev.items():
+            c = nxt.get(sid, 0) - 2 * c
+            if c:
+                nxt[sid] = c
+            else:
+                nxt.pop(sid, None)
+        prev, w = w, nxt
+
+
 def exact_delta(instance: CompiledInstance, n: int) -> int:
-    """Delta(n) alone: the half walks, then one inner product."""
-    for a, b in _half_walks(instance, n, None):
-        pass
-    return _dot(a, b)
+    """Delta(n) alone, from the orbit of e_t - e_t' and the path recurrence.
+
+    The orbit is taken until it stops at k vectors or n + 1 exist, keeping
+    only sigma_j = w_j[s]. By construction A w_j = w_{j+1} + 2 w_{j-1}, so
+    A acts on the w_j / sqrt(2)^j as sqrt(2) times the adjacency P of the
+    k-vertex path, and A^n w_0 = sum_j sqrt(2)^(n-j) P^n[j,0] w_j: a walk of
+    n steps from vertex 0 never reaches a vertex past n. Hence
+    Delta(n) = sum over j = n mod 2 of 2^((n-j)/2) P^n[j,0] sigma_j, for every
+    rewriting system. On a compiled instance the orbit stops at k = ell, so
+    the cost is ell walk steps over the orbit's support plus n column
+    updates of the path, whatever n is.
+    """
+    _check_walk(n, instance.s, instance.t, instance.t_prime)
+    space = WalkSpace(instance.system)
+    sid = space.intern(instance.s)
+    sigma = [w.get(sid, 0) for w in islice(_orbit(instance, space), n + 1)]
+    k = len(sigma)
+    if k <= 1:
+        return sigma[0] if k and n == 0 else 0
+    column = spectral.path_column(k, n)
+    return sum((column[j] * sigma[j]) << ((n - j) // 2) for j in range(n % 2, k, 2))
 
 
 def end_to_end(

@@ -52,11 +52,26 @@ def test_corner_entry_dp_matches_spectral_sum(ell, m):
         assert approx == pytest.approx(exact, rel=1e-9, abs=1e-10 * scale)
 
 
-def fresh_corner(ell, m):
+def fresh_column(ell, m):
     v = [1] + [0] * (ell - 1)
     for _ in range(m):
         v = [(v[k - 1] if k else 0) + (v[k + 1] if k < ell - 1 else 0) for k in range(ell)]
-    return v[ell - 1]
+    return v
+
+
+def fresh_corner(ell, m):
+    return fresh_column(ell, m)[ell - 1]
+
+
+def test_path_column_resumes_and_ends_in_corner_entry():
+    # the one path recurrence: corner_entry is the column's last entry
+    for k, n in ((5, 4), (5, 9), (5, 2), (2, 7), (9, 0), (9, 20)):
+        assert list(spectral.path_column(k, n)) == fresh_column(k, n), (k, n)
+        assert spectral.corner_entry(k, n)[0] == fresh_column(k, n)[k - 1]
+    with pytest.raises(spectral.SpectralError):
+        spectral.path_column(1, 3)
+    with pytest.raises(spectral.SpectralError):
+        spectral.path_column(4, -1)
 
 
 def test_corner_entry_resumes_in_any_order():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 from collections import Counter
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -101,16 +102,21 @@ def path_grid_system():
         (path_grid_system(), (0, 0), (2, 2), (1, 0)),
         (path_grid_system(), (1, 1), (0, 0), (2, 0)),
         (path_grid_system(), (0, 1), (1, 1), (2, 2)),
+        (four_cycle_system(), (0, 0), (0, 0), (1, 1)),
     ],
 )
 def test_exact_deltas_toys_match_brute_force(system, s, t, t_prime):
     toy = SimpleNamespace(system=system, s=s, t=t, t_prime=t_prime)
+    # the path-grid orbits do not stop within n <= 12, so exact_delta takes
+    # its truncated branch there; the four-cycle's do stop
     want = [
         brute_force_count(system, s, t, n) - brute_force_count(system, s, t_prime, n)
-        for n in range(9)
+        for n in range(13)
     ]
-    assert exact_deltas(toy, 8) == want
-    assert [exact_delta(toy, n) for n in range(9)] == want
+    assert exact_deltas(toy, 8) == want[:9]
+    assert [exact_delta(toy, n) for n in range(9)] == want[:9]
+    assert exact_deltas(toy, 12) == want
+    assert [exact_delta(toy, n) for n in range(13)] == want
 
 
 @pytest.mark.parametrize(
@@ -137,6 +143,70 @@ def test_exact_delta_matches_exact_deltas(h_setup):
     deltas = exact_deltas(inst, 401)
     for n in (0, 1, 2, 63, 64, 65, 401):
         assert exact_delta(inst, n) == deltas[n]
+
+
+@pytest.mark.parametrize(
+    "text, x",
+    [
+        ("qubits 1\nh 0", [0]),
+        ("qubits 3\ntoffoli 0", [1, 1, 0]),
+        ("qubits 2\nh 0\n---\nswap 0", [0, 0]),
+    ],
+)
+def test_exact_delta_matches_half_walks_around_ell(text, x):
+    inst = compile_circuit(parse_circuit(text), x)
+    ell = inst.ell
+    lengths = (0, 1, ell - 2, ell - 1, ell, ell + 1, 2 * ell + 1)
+    deltas = exact_deltas(inst, max(lengths))
+    for n in lengths:
+        assert exact_delta(inst, n) == deltas[n], n
+
+
+@pytest.mark.parametrize(
+    "text, x", [("qubits 1\nh 0", [0]), ("qubits 2\nh 0\n---\nswap 0", [0, 0])]
+)
+def test_three_term_orbit_is_forward_orbit(text, x):
+    # w_{j+1} = A w_j - 2 w_{j-1} gives F^j (e_t - e_t'), then stops at ell
+    inst = compile_circuit(parse_circuit(text), x)
+    space = WalkSpace(inst.system)
+    orbit = list(islice(verifier._orbit(inst, space), inst.ell + 1))
+    assert len(orbit) == inst.ell
+    forward_space, forward = integer_orbit(inst)
+
+    def by_string(sp, vectors):
+        return [{sp.strings[sid]: c for sid, c in w.items()} for w in vectors]
+
+    assert by_string(space, orbit) == by_string(forward_space, forward)
+
+
+def test_exact_delta_cost_does_not_grow_with_n(h_setup, monkeypatch):
+    _, _, inst = h_setup
+    calls = 0
+    original = verifier.step
+
+    def counted(system, v):
+        nonlocal calls
+        calls += 1
+        return original(system, v)
+
+    monkeypatch.setattr(verifier, "step", counted)
+
+    def steps_for(n):
+        nonlocal calls
+        calls = 0
+        exact_delta(inst, n)
+        return calls
+
+    assert steps_for(2001) == steps_for(201) <= inst.ell == 64
+    assert steps_for(10) <= 11
+
+
+@pytest.mark.slow
+def test_exact_delta_matches_half_walks_at_ell_1040():
+    text = "qubits 3\nh 0\n---\nh 1\n---\ntoffoli 0\n---\nh 2"
+    inst = compile_circuit(parse_circuit(text), [0, 0, 0])
+    assert inst.ell == 1040
+    assert exact_delta(inst, 1041) == exact_deltas(inst, 1041)[1041] != 0
 
 
 def test_equal_endpoints_give_zero_deltas(h_setup):
