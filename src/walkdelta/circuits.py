@@ -152,7 +152,7 @@ def validate(circuit: Circuit) -> None:
             used |= span
 
 
-def _apply_gate_exact(gate: Gate, state: dict[int, Root2Frac], n: int) -> dict[int, Root2Frac]:
+def _apply_gate_exact(gate: Gate, state: dict[int, Root2Frac]) -> dict[int, Root2Frac]:
     out: dict[int, Root2Frac] = {}
 
     def add(idx: int, amp: Root2Frac) -> None:
@@ -199,7 +199,7 @@ def apply(circuit: Circuit, bits: Sequence[int]) -> dict[int, Root2Frac]:
     state: dict[int, Root2Frac] = {idx: R2_ONE}
     for layer in circuit.layers:
         for gate in layer:
-            state = _apply_gate_exact(gate, state, circuit.n_qubits)
+            state = _apply_gate_exact(gate, state)
             if len(state) > MAX_AMPLITUDES:
                 raise SimulationTooLarge(f"state exceeds {MAX_AMPLITUDES} amplitudes")
     return state

@@ -18,7 +18,7 @@ import time
 
 from . import spectral
 from .circuits import CircuitError, SimulationTooLarge, parse_circuit
-from .clock import CompiledInstance, CompileError, compile_circuit
+from .clock import ClockSystem, CompiledInstance, CompileError, compile_circuit
 from .rewriting import BudgetExceeded, RewriteError
 from .verifier import ReachableGraph, VerifyError, exact_delta, verify
 
@@ -55,23 +55,6 @@ def _load_circuit(path: str):
         return parse_circuit(fh.read())
 
 
-def rule_count(graph: ReachableGraph) -> int:
-    """Distinct (window, replacement) pairs that the component's edges use.
-
-    The strings of an edge differ between positions lo and hi; each window
-    j of width 3 that covers both, hi - 2 <= j <= lo, gives one pair.
-    """
-    pairs = set()
-    for s, row in zip(graph.strings, graph.adj):
-        for k in row:
-            t = graph.strings[k]
-            diff = [p for p, (a, b) in enumerate(zip(s, t)) if a != b]
-            lo, hi = diff[0], diff[-1]
-            for j in range(max(0, hi - 2), min(lo, len(s) - 3) + 1):
-                pairs.add((s[j : j + 3], t[j : j + 3]))
-    return len(pairs)
-
-
 def cmd_compile(args) -> tuple[dict, dict, bool | None, int]:
     circuit = _load_circuit(args.circuit)
     x = _parse_bits(args.input)
@@ -95,7 +78,6 @@ def cmd_compile(args) -> tuple[dict, dict, bool | None, int]:
         "alphabet_size": len(instance.system.alphabet.tokens),
         "window": instance.system.window,
         "reachable_vertices": len(graph),
-        "rule_count": rule_count(graph),
     }
     inputs = {"circuit": args.circuit, "input": args.input, "m_mode": args.m_mode}
     return inputs, outputs, True, EXIT_OK
@@ -112,9 +94,11 @@ def cmd_delta(args) -> tuple[dict, dict, bool | None, int]:
 
 def cmd_verify(args) -> tuple[dict, dict, bool | None, int]:
     instance = CompiledInstance.load(args.instance)
+    if not isinstance(instance.system, ClockSystem):
+        raise CompileError("verify needs a compiled instance, not one with explicit rules")
     circuit = _load_circuit(args.circuit)
     x = _parse_bits(args.input)
-    report = verify(instance, circuit, x, max_n=args.max_steps)
+    report = verify(instance, circuit, x)
     inputs = {"instance": args.instance, "circuit": args.circuit, "input": args.input}
     passed = report.all_passed
     return inputs, report.to_json(), passed, EXIT_OK if passed else EXIT_FAIL
@@ -211,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--circuit", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--max-steps", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectral", help="path-graph spectral quantities")

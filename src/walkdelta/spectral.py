@@ -159,7 +159,7 @@ def choose_m(ell: int, mode: str = "paper") -> int:
         return (ell + 1) ** 3
     if mode not in ("minimal", "sign_only"):
         raise SpectralError(f"unknown m mode {mode!r}")
-    m = ell - 1 if (ell - 1) % 2 != ell % 2 else ell
+    m = ell - 1
     while True:
         if mode == "sign_only":
             return m

@@ -118,9 +118,10 @@ def orbit_check(
     the integer vectors w_j = sqrt(2)^(j+1) u_j = F^j (e_t - e_t') on the
     ids of the given walk space (or a new one). Verifies no backward step
     out of the initial strings, termination after ell steps, orthonormality
-    (|w_j|^2 = 2^(j+1), disjoint supports) and A w_j = 2 w_{j-1} + w_{j+1}
-    with single derivations: the tridiagonal restricted matrix, at a cost
-    linear in the orbit's support.
+    (|w_j|^2 = 2^(j+1), disjoint supports) and A w_j - 2 w_{j-1} = w_{j+1},
+    the recurrence that ``exact_delta`` sums over, with single derivations:
+    the tridiagonal restricted matrix, at a cost linear in the orbit's
+    support.
     """
     ell = instance.ell
     if space is None:
@@ -133,7 +134,7 @@ def orbit_check(
                 bad.append((label, j))
     report.add("no_backward_step_from_start", not bad, offending=bad)
 
-    w = [{space.intern(instance.t): 1, space.intern(instance.t_prime): -1}]
+    w = [_difference(space, instance)]
     unique_all = True
     for i in range(ell - 1):
         nxt, unique = _forward_step(space, w[-1])
@@ -156,13 +157,8 @@ def orbit_check(
 
     mismatch = None
     for j, wj in enumerate(w):
-        want: dict[int, int] = {}
-        for k, scale in ((j - 1, 2), (j + 1, 1)):
-            if 0 <= k < ell:
-                for sid, c in w[k].items():
-                    want[sid] = want.get(sid, 0) + scale * c
-        got = space.multiply(wj)
-        if mismatch is None and got != want:
+        got = _three_term(space.multiply(wj), w[j - 1] if j else {})
+        if mismatch is None and got != (w[j + 1] if j + 1 < len(w) else {}):
             mismatch = j
     report.add("restricted_hamiltonian_is_path", mismatch is None, mismatch=mismatch)
     report.add("orbit_edges_single_derivation", space.multiple.isdisjoint(support))
@@ -174,6 +170,17 @@ def _difference(space: WalkSpace, instance: CompiledInstance) -> dict[int, int]:
     tpid = space.intern(instance.t_prime)
     d[tpid] = d.get(tpid, 0) - 1
     return {sid: c for sid, c in d.items() if c}
+
+
+def _three_term(aw: dict[int, int], prev: dict[int, int]) -> dict[int, int]:
+    """The next orbit vector A w_j - 2 w_{j-1}, formed in place of A w_j."""
+    for sid, c in prev.items():
+        c = aw.get(sid, 0) - 2 * c
+        if c:
+            aw[sid] = c
+        else:
+            aw.pop(sid, None)
+    return aw
 
 
 def _half_walks(
@@ -228,14 +235,7 @@ def _orbit(instance: CompiledInstance, space: WalkSpace) -> Iterator[dict[int, i
     prev, w = {}, _difference(space, instance)
     while w:
         yield w
-        nxt = step(instance.system, WalkVector(space, w)).entries
-        for sid, c in prev.items():
-            c = nxt.get(sid, 0) - 2 * c
-            if c:
-                nxt[sid] = c
-            else:
-                nxt.pop(sid, None)
-        prev, w = w, nxt
+        prev, w = w, _three_term(step(instance.system, WalkVector(space, w)).entries, prev)
 
 
 def exact_delta(instance: CompiledInstance, n: int) -> int:
@@ -267,17 +267,15 @@ def end_to_end(
     circuit: Circuit,
     x,
     report: VerificationReport,
-    max_n: int | None = None,
     space: WalkSpace | None = None,
 ) -> None:
     """Exact master identity on all desk-scale walk lengths.
 
-    For every n up to max_n, the integer Delta(n) must equal
+    For every n up to ell + 5, the integer Delta(n) must equal
     sigma * sqrt(2)^n * <x,0|U|x,0> * corner(n) / sqrt(1+d) for one global
     sigma in {+1, -1}, as an exact equality in Z[sqrt(2)].
     """
-    if max_n is None:
-        max_n = instance.ell + 5
+    max_n = instance.ell + 5
     ov = overlap(circuit, x)
     deltas = exact_deltas(instance, max_n, space)
     inv_root = R2_INV_SQRT2 if instance.d_parity else R2_ONE
@@ -350,7 +348,9 @@ def sign_and_promise_check(
     c = instance.c
     c1 = SQRT2 * spectral.eigenvalue(ell, 1)
     growth_ok = all(within_growth(d, c, n) for n, d in enumerate(deltas) if n > 0)
-    growth1_desk = all(within_growth(d, c1, n) for n, d in enumerate(deltas) if n > 0)
+    growth1_desk = c1 > 0 and all(
+        within_growth(d, c1, n) for n, d in enumerate(deltas) if n > 0
+    )
     report.add("growth_promise", growth_ok, c=c)
     if ov.is_zero():
         report.add("growth_constant_resolution", None, overlap="zero")
@@ -360,7 +360,8 @@ def sign_and_promise_check(
     # at the gap-condition walk length the certified identity gives
     # log |Delta(m)| = m log sqrt(2) + log |ov| + log corner - log sqrt(1+d);
     # against c1 the margin grows like m log(lambda_0/lambda_1) and the
-    # variant fails, settling which eigenvalue belongs in the constant
+    # variant fails, settling which eigenvalue belongs in the constant;
+    # at ell <= 3, lambda_1 <= 0 gives no growth constant and no margin
     m = instance.m
     lam0 = spectral.eigenvalue(ell, 0)
     tail = abs(ov.to_float()) * abs(spectral.scaled_corner(ell, m))
@@ -369,13 +370,14 @@ def sign_and_promise_check(
         + math.log(tail)
         - 0.5 * math.log(1 + instance.d_parity)
     )
-    growth1_large = log_delta_m <= m * math.log(c1)
+    margin1 = log_delta_m - m * math.log(c1) if c1 > 0 else None
+    growth1_large = margin1 is not None and margin1 <= 0
     report.add(
         "growth_constant_resolution",
         growth1_desk and not growth1_large,
         lambda1_variant_holds_desk_scale=growth1_desk,
         lambda1_variant_holds_at_m=growth1_large,
-        log_margin_vs_lambda1=log_delta_m - m * math.log(c1),
+        log_margin_vs_lambda1=margin1,
     )
 
     # gap promise |Delta(m)| >= eps c^m, via the identity in ratio form
@@ -389,12 +391,10 @@ def sign_and_promise_check(
     )
 
 
-def verify(
-    instance: CompiledInstance, circuit: Circuit, x, max_n: int | None = None
-) -> VerificationReport:
+def verify(instance: CompiledInstance, circuit: Circuit, x) -> VerificationReport:
     report = VerificationReport()
     space = WalkSpace(instance.system)
     orbit_check(instance, report, space)
-    end_to_end(instance, circuit, x, report, max_n=max_n, space=space)
+    end_to_end(instance, circuit, x, report, space=space)
     sign_and_promise_check(instance, circuit, x, report, space=space)
     return report
