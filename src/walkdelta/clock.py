@@ -134,6 +134,32 @@ RULES = _transition_rules()
 TRANSITIONS = _group((p, (guard, q, move)) for p, guard, q, move in RULES)
 # the derived inverse: rewritten pair -> [(program pair, move)]
 PREDECESSORS = _group((q, (p, move)) for p, guard, q, move in RULES)
+# every program pair a rule reads, forward or backward
+RULE_PAIRS = frozenset(TRANSITIONS) | frozenset(PREDECESSORS)
+# the program symbols of the control signal (the marked gates, HOLE, EXEC
+# and TURN); every pair in RULE_PAIRS holds exactly one
+SIGNALS = range(MARK_I, BLANK)
+
+
+def rule_windows(s: Sequence[int]) -> list[int]:
+    """The start j, ascending, of every window of s whose program pair
+    (cells 1 and 2) is in RULE_PAIRS.
+
+    No other window has a forward or a backward image. Every such pair
+    holds exactly one signal symbol, so for each signal cell only the two
+    windows holding it as cell 1 or 2 are looked at, and no window is
+    found twice.
+    """
+    # a cell's program symbol is c >> 4 (split_cell)
+    low, high = SIGNALS.start << 4, SIGNALS.stop << 4
+    last = len(s) - 3
+    out: list[int] = []
+    for i, c in enumerate(s):
+        if low <= c < high:
+            for j in (i - 2, i - 1):
+                if 0 <= j <= last and (s[j + 1] >> 4, s[j + 2] >> 4) in RULE_PAIRS:
+                    out.append(j)
+    return out
 
 
 def transition_match(
@@ -286,7 +312,7 @@ class ClockSystem:
     def weighted_neighbors(self, s: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """Neighbors with the number of distinct window derivations."""
         out: dict[tuple[int, ...], int] = {}
-        for j in range(len(s) - 2):
+        for j in rule_windows(s):
             triple = s[j : j + 3]
             for img in forward_images(triple) + backward_images(triple):
                 t = s[:j] + img + s[j + 3 :]
@@ -613,7 +639,9 @@ class CompiledInstance:
         Instance files produced by the compiler carry the rule-generator
         tag; hand-written instances may instead list explicit rules in the
         rewriting-system format, in which case the clock-specific fields
-        take neutral defaults.  Malformed documents raise CompileError.
+        take neutral defaults.  Malformed documents raise CompileError, as
+        does an m below 0 or, on a compiled instance, an m below ell - 1 or
+        of the parity of ell: no walk of that length is a gap instance.
         """
         if not isinstance(doc, dict) or not isinstance(doc.get("system"), dict):
             raise CompileError("instance file must hold an object with a system object")
@@ -640,6 +668,13 @@ class CompiledInstance:
         if not len(s) == len(t) == len(t_prime) >= system.window:
             raise CompileError(
                 f"s, t and t' must have one length of at least the window {system.window}"
+            )
+        m, ell = fields["m"], fields["ell"]
+        if m < 0:
+            raise CompileError(f"m = {m} must be >= 0")
+        if rules == "clock-v1" and (m < ell - 1 or m % 2 == ell % 2):
+            raise CompileError(
+                f"m = {m} must be >= ell - 1 and of the parity opposite to ell = {ell}"
             )
         return cls(system=system, s=s, t=t, t_prime=t_prime, **fields)
 

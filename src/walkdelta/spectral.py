@@ -74,38 +74,45 @@ def scaled_corner(ell: int, m: int) -> float:
     return total
 
 
-# k -> (n, P^n e_0 on the k-vertex path), the latest column only
-_columns: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-
-def path_column(k: int, n: int) -> tuple[int, ...]:
-    """P^n e_0 for the adjacency matrix P of the k-vertex path.
+def path_column(k: int, n: int, low: int = 0) -> tuple[int, ...]:
+    """Entries low..k-1 of P^n e_0, for the adjacency matrix P of the
+    k-vertex path.
 
     Entry j is the exact number of n-step walks from vertex 0 to vertex j,
-    by the recurrence v'_j = v_{j-1} + v_{j+1}. The recurrence resumes from
-    the last column computed for this k unless n is below it: n = 1, 2, ...,
-    N costs N column updates.
+    by the recurrence v'_j = v_{j-1} + v_{j+1}, run only inside its light
+    cone: after i steps it keeps the entries j with
+    max(0, low - (n - i)) <= j <= min(i, k - 1). Those past i are zero, and
+    those below the lower end cannot reach low in the n - i steps left. So
+    a step adds at most min(n - low + 1, k) entries, and the corner entry
+    low = k - 1 costs O(n·(n - k + 2)).
     """
     _check(k)
     if n < 0:
         raise SpectralError("power must be >= 0")
-    done, v = _columns.get(k, (0, None))
-    if v is None or n < done:
-        done, v = 0, (1,) + (0,) * (k - 1)
-    for _ in range(done, n):
-        v = [a + b for a, b in zip((0, *v[:-1]), (*v[1:], 0))]
-    v = tuple(v)
-    _columns[k] = (n, v)
-    return v
+    if not 0 <= low < k:
+        raise SpectralError(f"entry {low} out of range for k = {k}")
+    if low > n:
+        return (0,) * (k - low)
+    lo, v = 0, [1]  # v holds the entries lo, lo + 1, ... of the column
+    for i in range(1, n + 1):
+        new_lo, hi = max(0, low - (n - i)), min(i, k - 1)
+        # pad[x] is entry lo - 1 + x; the entry below 0 and those past the
+        # last step's end are zero
+        pad = [0, *v, 0, 0]
+        a, b = new_lo - lo, hi - lo + 1
+        v = [x + y for x, y in zip(pad[a:b], pad[a + 2 : b + 2])]
+        lo = new_lo
+    return (*v, *(0,) * (k - low - len(v)))
 
 
 def corner_entry(ell: int, m: int) -> tuple[int, float]:
     """(0, ell-1) entry of the m-th power of the path adjacency matrix.
 
-    Returns the exact integer, entry ell - 1 of ``path_column(ell, m)``, and
-    scaled_corner times lambda_0^m, +-inf past the float range.
+    Returns the exact integer, the one entry of
+    ``path_column(ell, m, ell - 1)``, and scaled_corner times lambda_0^m,
+    +-inf past the float range.
     """
-    exact = path_column(ell, m)[ell - 1]
+    exact = path_column(ell, m, ell - 1)[0]
     total = scaled_corner(ell, m)
     if total == 0.0:
         return exact, 0.0

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from . import spectral
 from .circuits import Circuit, R2_INV_SQRT2, R2_ONE, Root2Frac, overlap
-from .clock import CompiledInstance, backward_images, forward_images
+from .clock import CompiledInstance, backward_images, forward_images, rule_windows
 from .rewriting import WalkSpace, WalkVector, _check_walk, step
 
 
@@ -93,7 +93,7 @@ def _forward_step(space: WalkSpace, w: dict[int, int]) -> tuple[dict[int, int], 
     for sid, coef in w.items():
         s = space.strings[sid]
         active_windows = 0
-        for j in range(len(s) - 2):
+        for j in rule_windows(s):
             imgs = forward_images(s[j : j + 3])
             if imgs:
                 active_windows += 1
@@ -247,9 +247,11 @@ def exact_delta(instance: CompiledInstance, n: int) -> int:
     k-vertex path, and A^n w_0 = sum_j sqrt(2)^(n-j) P^n[j,0] w_j: a walk of
     n steps from vertex 0 never reaches a vertex past n. Hence
     Delta(n) = sum over j = n mod 2 of 2^((n-j)/2) P^n[j,0] sigma_j, for every
-    rewriting system. On a compiled instance the orbit stops at k = ell, so
-    the cost is ell walk steps over the orbit's support plus n column
-    updates of the path, whatever n is.
+    rewriting system. The column is taken from the lowest such j with
+    sigma_j != 0 up, inside its light cone. On a compiled instance the orbit
+    stops at k = ell, and on every ladder rung only sigma_(ell-1) is
+    nonzero, so the cost is ell walk steps over the orbit's support plus
+    O(n·min(n - ell + 2, ell)) additions, whatever n is.
     """
     _check_walk(n, instance.s, instance.t, instance.t_prime)
     space = WalkSpace(instance.system)
@@ -258,8 +260,11 @@ def exact_delta(instance: CompiledInstance, n: int) -> int:
     k = len(sigma)
     if k <= 1:
         return sigma[0] if k and n == 0 else 0
-    column = spectral.path_column(k, n)
-    return sum((column[j] * sigma[j]) << ((n - j) // 2) for j in range(n % 2, k, 2))
+    low = next((j for j in range(n % 2, k, 2) if sigma[j]), None)
+    if low is None:
+        return 0
+    column = spectral.path_column(k, n, low)
+    return sum((column[j - low] * sigma[j]) << ((n - j) // 2) for j in range(low, k, 2))
 
 
 def end_to_end(

@@ -209,6 +209,10 @@ def _clock_short(instance):
     return {**doc, **{key: doc[key][:2] for key in ("s", "t", "t_prime")}}
 
 
+def _clock_with_m(m):
+    return lambda instance: {**json.loads(instance.read_text()), "m": m}
+
+
 @pytest.mark.parametrize(
     "document",
     [
@@ -217,6 +221,10 @@ def _clock_short(instance):
         lambda instance: {**TOY, "system": {**TOY["system"], "window": "x"}},
         lambda instance: {**TOY, "system": {**TOY["system"], "rules": [1]}},
         _clock_short,
+        lambda instance: {**TOY, "m": -1},
+        _clock_with_m(-1),
+        _clock_with_m(61),  # ell = 64: below ell - 1, of the right parity
+        _clock_with_m(64),  # of the parity of ell
     ],
     ids=[
         "not-an-object",
@@ -224,16 +232,24 @@ def _clock_short(instance):
         "non-numeric-window",
         "rule-not-a-pair",
         "clock-shorter-than-window",
+        "negative-m",
+        "clock-negative-m",
+        "clock-m-below-ell-1",
+        "clock-m-parity-of-ell",
     ],
 )
 def test_malformed_instance_exit_2(workspace, tmp_path, capsys, document):
-    _, _, instance = workspace
+    _, circuit, instance = workspace
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(document(instance)))
-    assert cli.main(["delta", "--instance", str(path), "--steps", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("parse error:")
+    for argv in (
+        ["delta", "--instance", str(path), "--steps", "2"],
+        ["verify", "--instance", str(path), "--circuit", str(circuit), "--input", "0"],
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error:")
 
 
 # a document per instance kind, and the arguments of each command on it

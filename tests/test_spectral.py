@@ -74,6 +74,18 @@ def test_path_column_resumes_and_ends_in_corner_entry():
         spectral.path_column(4, -1)
 
 
+def test_path_column_light_cone_matches_full_column():
+    # entries low..k-1 from the cone equal the full recurrence's, for every low
+    for k in range(2, 10):
+        for n in range(31):
+            column = fresh_column(k, n)
+            for low in range(k):
+                assert spectral.path_column(k, n, low) == tuple(column[low:]), (k, n, low)
+    for low in (-1, 4):
+        with pytest.raises(spectral.SpectralError):
+            spectral.path_column(4, 3, low)
+
+
 def test_corner_entry_resumes_in_any_order():
     # rising, falling, repeating, and switching between path lengths
     for ell, m in ((7, 3), (7, 12), (7, 12), (7, 5), (4, 9), (7, 14), (4, 2), (7, 0), (4, 30)):

@@ -201,12 +201,38 @@ def test_exact_delta_cost_does_not_grow_with_n(h_setup, monkeypatch):
     assert steps_for(10) <= 11
 
 
+@pytest.mark.parametrize(
+    "text, x",
+    [
+        ("qubits 1\nh 0", [0]),
+        ("qubits 3\ntoffoli 0", [1, 1, 0]),  # zero amplitude: every sigma_j is 0
+        ("qubits 3\ntoffoli 0", [0, 0, 0]),
+    ],
+)
+def test_exact_delta_matches_half_walks_at_every_n(text, x):
+    # the light cone of every n up to 3 ell + 1, narrow and full width
+    inst = compile_circuit(parse_circuit(text), x)
+    max_n = 3 * inst.ell + 1
+    deltas = exact_deltas(inst, max_n)
+    assert [exact_delta(inst, n) for n in range(max_n + 1)] == deltas
+
+
 @pytest.mark.slow
 def test_exact_delta_matches_half_walks_at_ell_1040():
     text = "qubits 3\nh 0\n---\nh 1\n---\ntoffoli 0\n---\nh 2"
     inst = compile_circuit(parse_circuit(text), [0, 0, 0])
     assert inst.ell == 1040
     assert exact_delta(inst, 1041) == exact_deltas(inst, 1041)[1041] != 0
+
+
+@pytest.mark.slow
+def test_verify_passes_every_check_at_ell_1040():
+    circuit = parse_circuit("qubits 3\nh 0\n---\nh 1\n---\ntoffoli 0\n---\nh 2")
+    inst = compile_circuit(circuit, [0, 0, 0])
+    assert inst.ell == 1040
+    report = verify(inst, circuit, [0, 0, 0])
+    assert len(report.checks) == 12
+    assert all(c.passed for c in report.checks), [c.name for c in report.checks if not c.passed]
 
 
 def test_equal_endpoints_give_zero_deltas(h_setup):
