@@ -125,7 +125,7 @@ def cmd_estimate(args) -> tuple[dict, dict, bool | None, int]:
     instance = CompiledInstance.load(args.instance)
     m = args.m if args.m is not None else instance.m
     try:
-        est, exact, vertices = estimator.estimate_with_noise(
+        est, exact, vertices, nodes = estimator.estimate_with_noise(
             instance, m, args.eta, args.theta, args.samples, seed=args.seed
         )
     except estimator.EstimateError as exc:
@@ -149,6 +149,7 @@ def cmd_estimate(args) -> tuple[dict, dict, bool | None, int]:
         "sign": sign,
         "decided": decided,
         "vertices": vertices,
+        "quadrature_nodes": nodes,
     }
     return inputs, outputs, None, SIGN_EXIT[sign if decided else 0]
 

@@ -9,6 +9,10 @@ be estimated from noisy eigenvalue samples after clipping the power map.
 All moment values are reported in units of c^m. At gap-condition walk lengths
 c^m overflows any float, while the normalized quantities (lambda/c)^m stay
 inside [-1, 1] by the growth promise.
+
+``estimate_with_noise`` forms the two measures from the orbit of e_t - e_t'
+(``orbit_measures``); the dense ``spectral_measure`` of the whole component
+is the reference the tests compare it with.
 """
 
 from __future__ import annotations
@@ -17,23 +21,38 @@ import math
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .clock import CompiledInstance
-from .verifier import ReachableGraph
+from .verifier import ReachableGraph, orbit
 
 MAX_DENSE_VERTICES = 4000
+
+# Lanczos steps, so Gauss nodes, of the remainder measure: the rule is exact
+# for its moments up to degree 2 * QUADRATURE_NODES - 1
+QUADRATURE_NODES = 40
+
+# the Krylov space is spent once a Lanczos residual is below this fraction
+# of the |A v| it was taken from: what is left is round-off
+KRYLOV_TOL = 1e-12
+
+SQRT2 = math.sqrt(2.0)
 
 
 class EstimateError(Exception):
     pass
 
 
-def build_states(instance: CompiledInstance):
-    """The two unit states whose moment difference encodes Delta(m)."""
+def _check_endpoints(instance: CompiledInstance) -> None:
     if len({instance.s, instance.t, instance.t_prime}) < 3:
         raise EstimateError("s, t and t' must be distinct for the states to be unit vectors")
+
+
+def build_states(instance: CompiledInstance):
+    """The two unit states whose moment difference encodes Delta(m)."""
+    _check_endpoints(instance)
     h = 1.0 / math.sqrt(2.0)
     plus = {instance.s: h, instance.t: 0.5, instance.t_prime: -0.5}
     minus = {instance.s: h, instance.t: -0.5, instance.t_prime: 0.5}
@@ -49,7 +68,7 @@ class SpectralMeasure:
 
 
 def reachable_component(
-    instance: CompiledInstance, max_vertices: int = MAX_DENSE_VERTICES
+    instance: CompiledInstance, max_vertices: int = 100_000
 ) -> ReachableGraph:
     seeds = [instance.s, instance.t, instance.t_prime]
     return ReachableGraph(instance.system, seeds, max_vertices=max_vertices)
@@ -157,6 +176,128 @@ def spectral_measure(graph: ReachableGraph, state: dict) -> SpectralMeasure:
     kernel = float(a[~nz] @ a[~nz]) + max(float(psi_q @ psi_q - b @ b), 0.0)
     probs = np.concatenate([(a[nz] + b) ** 2 / 2, (a[nz] - b) ** 2 / 2, [kernel]])
     return SpectralMeasure(halves.eigenvalues, probs)
+
+
+def _unit_entry(c: int, j: int) -> float:
+    """c / sqrt(2)^(j+1), an entry of u_j = w_j / sqrt(2)^(j+1), by an exact
+    integer division that no |c| <= sqrt(2)^(j+1) can overflow."""
+    q = c / (1 << ((j + 1) // 2))
+    return q / SQRT2 if (j + 1) % 2 else q
+
+
+def _path_spectrum(k: int) -> np.ndarray:
+    """sqrt(2) times the eigenvalues of the k-vertex path, for every k >= 1.
+
+    The float expression of ``SQRT2 * spectral.eigenvalue(k, j)``, from
+    which ``compile_circuit`` takes c, so the top node equals c to the last
+    bit; a node off by one ulp would move (node/c)^m by m ulp.
+    """
+    return np.array([SQRT2 * (2.0 * math.cos(math.pi * i / (k + 1))) for i in range(1, k + 1)])
+
+
+def _path_eigvec_entries(k: int, j: int) -> np.ndarray:
+    """Entry j of every sine eigenvector of the k-vertex path, as
+    ``spectral.eigvec_entry`` gives it, the angle reduced mod 2 pi first."""
+    i = np.arange(1, k + 1)
+    return math.sqrt(2.0 / (k + 1)) * np.sin(np.pi * ((i * (j + 1)) % (2 * (k + 1))) / (k + 1))
+
+
+def _adjacency_operator(graph: ReachableGraph):
+    """v -> A v for the 0/1 adjacency of the component, from its edge list."""
+    n = len(graph)
+    degrees = np.fromiter(map(len, graph.adj), dtype=np.intp, count=n)
+    cols = np.fromiter(chain.from_iterable(graph.adj), dtype=np.intp, count=int(degrees.sum()))
+    rows = np.repeat(np.arange(n), degrees)
+    return lambda v: np.bincount(rows, weights=v[cols], minlength=n)
+
+
+def gauss_rule(multiply, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss rule of the spectral measure of start.
+
+    Lanczos with full reorthogonalisation (classical Gram-Schmidt, twice)
+    builds the Jacobi matrix T of the measure, stopping early when the
+    Krylov space is spent; the nodes are the eigenvalues of T and the
+    weights |start|^2 times the squared first entries of its eigenvectors
+    (Golub and Welsch). The rule matches the measure's moments up to degree
+    2 * QUADRATURE_NODES - 1, and all of them when the Krylov space is spent.
+    """
+    norm = float(np.linalg.norm(start))
+    if norm == 0.0:
+        return np.zeros(0), np.zeros(0)
+    basis = np.zeros((QUADRATURE_NODES, len(start)))
+    alpha, beta = [], []
+    v = start / norm
+    for i in range(QUADRATURE_NODES):
+        basis[i] = v
+        w = multiply(v)
+        alpha.append(float(v @ w))
+        scale = float(np.linalg.norm(w))
+        for _ in range(2):
+            w -= basis[: i + 1].T @ (basis[: i + 1] @ w)
+        b = float(np.linalg.norm(w))
+        if i + 1 == QUADRATURE_NODES or b <= KRYLOV_TOL * scale:
+            break
+        beta.append(b)
+        v = w / b
+    jacobi = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    return nodes, norm**2 * vectors[0] ** 2
+
+
+def orbit_measures(
+    instance: CompiledInstance, graph: ReachableGraph
+) -> tuple[SpectralMeasure, SpectralMeasure, int]:
+    """The spectral measures of psi+- = (e_s +- u_0) / sqrt(2), without the
+    eigendecomposition of the component, and the number of Gauss nodes.
+
+    The orbit w_j of e_t - e_t' on the component gives u_j = w_j /
+    sqrt(2)^(j+1). Its supports must be disjoint and |w_j|^2 = 2^(j+1): the
+    u_j are then orthonormal, and the orbit stops inside the finite
+    component. By the recurrence A u_j = sqrt(2) (u_(j-1) + u_(j+1)), so
+    their span W and its complement are A-invariant, and A acts on W as
+    sqrt(2) times the adjacency P of the k-vertex path. With
+    a_j = <s|u_j> and r = e_s - sum_j a_j u_j in the complement,
+    psi+- = (sum_j a_j u_j +- u_0 + r) / sqrt(2), so each measure is the
+    closed-form part on W, mass ((q_i . a) +- q_i[0])^2 / 2 at the i-th
+    node sqrt(2) lambda_i(P) for the sine eigenvectors q_i of P, plus half
+    the measure of r, the same for both, from its Gauss rule. Both measures
+    share one eigenvalue array and the remainder's weights, so their
+    difference has no remainder term.
+    """
+    _check_endpoints(instance)
+    s = graph.index[instance.s]
+    seen: set[int] = set()
+    # (j, w_j) for the one support that holds s, if any: the supports being
+    # disjoint, a_j is zero for every other j
+    k, hit = 0, None
+    for j, w in enumerate(orbit(instance, graph)):
+        norm2 = sum(c * c for c in w.values())
+        if not seen.isdisjoint(w) or norm2 != 1 << (j + 1):
+            raise EstimateError(
+                f"orbit of e_t - e_t' is not orthonormal at w_{j}: its support meets an "
+                f"earlier one or |w_{j}|^2 = {norm2} is not 2^{j + 1}"
+            )
+        seen.update(w)
+        if s in w:
+            hit = (j, w)
+        k = j + 1
+
+    first = _path_eigvec_entries(k, 0)
+    proj = np.zeros(k)  # q_i . a for every i
+    remainder = np.zeros(len(graph))
+    remainder[s] = 1.0
+    if hit is not None:
+        j, w = hit
+        a = _unit_entry(w[s], j)
+        proj = a * _path_eigvec_entries(k, j)
+        for sid, c in w.items():
+            remainder[sid] -= a * _unit_entry(c, j)
+    nodes, weights = gauss_rule(_adjacency_operator(graph), remainder)
+    eigenvalues = np.concatenate([_path_spectrum(k), nodes])
+    half = weights / 2
+    plus = SpectralMeasure(eigenvalues, np.concatenate([(proj + first) ** 2 / 2, half]))
+    minus = SpectralMeasure(eigenvalues, np.concatenate([(proj - first) ** 2 / 2, half]))
+    return plus, minus, len(nodes)
 
 
 def delta_moment(plus: SpectralMeasure, minus: SpectralMeasure, m: int, c: float) -> float:
@@ -282,14 +423,15 @@ def estimate_with_noise(
     samples: int,
     seed: int = 0,
     delta: float = 0.05,
-) -> tuple[NoisyEstimate, float, int]:
+) -> tuple[NoisyEstimate, float, int, int]:
     """Full pipeline under a given noise model.
 
-    Returns the estimate, the exact clipped moment and the component's size.
+    Returns the estimate, the exact clipped moment, the component's size
+    and the number of Gauss nodes of the remainder measure.
     """
     graph = reachable_component(instance)
-    plus, minus = (spectral_measure(graph, state) for state in build_states(instance))
+    plus, minus, nodes = orbit_measures(instance, graph)
     exact = delta_moment(plus, minus, m, instance.c)
     est = noisy_estimate(plus, minus, m, instance.c, eta, theta, samples, seed=seed, delta=delta)
-    return est, exact, len(graph)
+    return est, exact, len(graph), nodes
 

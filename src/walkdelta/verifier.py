@@ -225,12 +225,13 @@ def exact_deltas(
     return [_dot(a, b) for a, b in _half_walks(instance, max_n, space)]
 
 
-def _orbit(instance: CompiledInstance, space: WalkSpace) -> Iterator[dict[int, int]]:
+def orbit(instance: CompiledInstance, space: WalkSpace) -> Iterator[dict[int, int]]:
     """The three-term orbit w_0 = e_t - e_t', w_{j+1} = A w_j - 2 w_{j-1}.
 
     Yields each w_j until the next one is zero; the product A w_j is taken
     only when w_{j+1} is asked for. On a compiled instance this is the
     forward orbit w_{j+1} = F w_j of ``orbit_check``, of ell vectors.
+    ``exact_delta`` reads w_j[s] from it, and the estimator its span.
     """
     prev, w = {}, _difference(space, instance)
     while w:
@@ -256,7 +257,7 @@ def exact_delta(instance: CompiledInstance, n: int) -> int:
     _check_walk(n, instance.s, instance.t, instance.t_prime)
     space = WalkSpace(instance.system)
     sid = space.intern(instance.s)
-    sigma = [w.get(sid, 0) for w in islice(_orbit(instance, space), n + 1)]
+    sigma = [w.get(sid, 0) for w in islice(orbit(instance, space), n + 1)]
     k = len(sigma)
     if k <= 1:
         return sigma[0] if k and n == 0 else 0

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,9 @@ import sys
 import pytest
 
 import walkdelta
-from walkdelta import cli, estimator
+from walkdelta import cli, estimator, spectral
+from walkdelta.circuits import overlap, parse_circuit
+from walkdelta.clock import compile_circuit
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +315,43 @@ def test_estimate_endpoints_not_distinct_exit_3(tmp_path, capsys):
     assert captured.err.startswith("resource error: s, t and t' must be distinct")
 
 
+@pytest.mark.parametrize("edges", ["ab bc", "ab bc cd"])
+def test_estimate_orbit_not_orthonormal_exit_3(tmp_path, capsys, edges):
+    # a path from s = a with t = b, t' = c: w_1 = e_a - e_b + e_c meets the
+    # support of w_0 and has |w_1|^2 = 3, not 4; with a fourth vertex d,
+    # w_1 = e_a - e_b + e_c - e_d has the norm 4 but still meets it; no
+    # measure is sampled from either
+    path = tmp_path / "path.json"
+    rules = [[[e[0]], [e[1]]] for e in edges.split()]
+    alphabet = sorted(set(edges) - {" "})
+    doc = {"system": {"alphabet": alphabet, "window": 1, "rules": rules},
+           "s": ["a"], "t": ["b"], "t_prime": ["c"], "m": 2}
+    path.write_text(json.dumps(doc))
+    argv = ["estimate", "--instance", str(path), "--eta", "0", "--theta", "0", "--samples", "10"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource error: orbit of e_t - e_t' is not orthonormal at w_1")
+
+
+@pytest.mark.slow
+def test_estimate_past_the_dense_guard(tmp_path, capsys):
+    # ell 704: the component has 11,264 vertices, past MAX_DENSE_VERTICES
+    circuit = parse_circuit("qubits 3\nh 0\n---\nh 1\n---\ntoffoli 0\n")
+    inst = compile_circuit(circuit, [0, 0, 0])
+    path = tmp_path / "hh-toffoli.json"
+    inst.save(path)
+    argv = ["estimate", "--instance", str(path), "--eta", "1e-9", "--theta", "1e-3",
+            "--samples", "1000"]
+    code, doc = run(capsys, argv)
+    assert code == 4
+    out = doc["outputs"]
+    assert (out["vertices"], out["quadrature_nodes"]) == (11_264, estimator.QUADRATURE_NODES)
+    ov = overlap(circuit, [0, 0, 0]).to_float()
+    want = -ov * spectral.scaled_corner(inst.ell, inst.m) / math.sqrt(1 + inst.d_parity)
+    assert out["exact_clipped"] == pytest.approx(want, rel=1e-9)
+
+
 def test_resource_error_exit_3(workspace, capsys):
     root, circuit, _ = workspace
     out = root / "tiny.json"
@@ -347,6 +387,25 @@ def test_bad_subcommand_exit_2(capsys):
 def test_cli_import_leaves_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(walkdelta.__file__))
     code = "import sys, walkdelta.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["delta", "verify"])
+def test_commands_leave_numpy_unloaded(workspace, command):
+    # numpy is the estimator's alone: loading it costs every other command
+    # about 90 ms of start-up
+    _, circuit, instance = workspace
+    argv = {
+        "delta": ["delta", "--instance", str(instance), "--steps", "63"],
+        "verify": ["verify", "--instance", str(instance), "--circuit", str(circuit), "--input", "0"],
+    }[command]
+    src = os.path.dirname(os.path.dirname(walkdelta.__file__))
+    code = (
+        "import sys; from walkdelta import cli; cli.main(%r); "
+        "assert 'numpy' not in sys.modules, 'numpy loaded'" % argv
+    )
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -3,19 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from walkdelta import verifier
-from walkdelta.circuits import parse_circuit
+from walkdelta import spectral, verifier
+from walkdelta.circuits import overlap, parse_circuit
 from walkdelta.clock import compile_circuit
 from walkdelta.estimator import (
+    QUADRATURE_NODES,
     EstimateError,
     SpectralMeasure,
     bias_bound,
     build_states,
     clipped_powers,
     delta_moment,
+    gauss_rule,
     hoeffding_halfwidth,
     hoeffding_samples,
     noisy_estimate,
+    orbit_measures,
     plan_noise,
     reachable_component,
     spectral_measure,
@@ -302,3 +305,104 @@ def test_triangle_is_not_bipartite():
     graph = toy_graph("ab bc ca")
     with pytest.raises(EstimateError, match="bipartite"):
         spectral_measure(graph, toy_state(graph, a=1.0))
+
+
+# -- the orbit measures against the dense oracle ------------------------------
+
+
+def remainder_state(inst, graph) -> dict:
+    """Oracle: e_s - sum_j <s|u_j> u_j for the orbit u_j = w_j / sqrt(2)^(j+1),
+    as a state keyed by string."""
+    r = {inst.s: 1.0}
+    for j, w in enumerate(verifier.orbit(inst, graph)):
+        scale = math.sqrt(2.0) ** (j + 1)
+        a = w.get(graph.index[inst.s], 0) / scale
+        for sid, c in w.items():
+            key = graph.strings[sid]
+            r[key] = r.get(key, 0.0) - a * c / scale
+    return r
+
+
+def moments(measure: SpectralMeasure, top: int, scale: float) -> np.ndarray:
+    """The moments n = 0..top of a measure, the n-th over scale^n."""
+    x = measure.eigenvalues / scale
+    return np.array([float(measure.probabilities @ x**n) for n in range(top + 1)])
+
+
+@pytest.mark.parametrize("text,x", ORACLE_CIRCUITS + [("qubits 2\nh 0\n---\nswap 0", [0, 0])])
+def test_orbit_measures_match_dense_oracle(text, x):
+    circuit = parse_circuit(text)
+    inst = compile_circuit(circuit, x)
+    graph = reachable_component(inst)
+    plus, minus, nodes = orbit_measures(inst, graph)
+    dense = [spectral_measure(graph, state) for state in build_states(inst)]
+    assert plus.eigenvalues is minus.eigenvalues
+    assert nodes == QUADRATURE_NODES
+    k = len(plus.eigenvalues) - nodes
+    # the remainder carries the same weights in both measures
+    assert np.array_equal(plus.probabilities[k:], minus.probabilities[k:])
+    for got, want in zip((plus, minus), dense):
+        assert float(got.probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(got.probabilities >= 0)
+        rho = float(np.max(np.abs(want.eigenvalues)))
+        np.testing.assert_allclose(
+            moments(got, 2 * nodes - 1, rho), moments(want, 2 * nodes - 1, rho), rtol=0, atol=1e-12
+        )
+
+    # the Gauss rule of the remainder against the dense measure of it
+    remainder = SpectralMeasure(plus.eigenvalues[k:], 2 * plus.probabilities[k:])
+    oracle = spectral_measure(graph, remainder_state(inst, graph))
+    rho = float(np.max(np.abs(oracle.eigenvalues)))
+    np.testing.assert_allclose(
+        moments(remainder, 2 * nodes - 1, rho), moments(oracle, 2 * nodes - 1, rho), rtol=0, atol=1e-12
+    )
+
+    # Delta(m) / c^m: zero below ell - 1, where both sit at their float
+    # floor (the dense one up to 5e-15); far above the floor from ell^2 on
+    amplitude_zero = overlap(circuit, x).is_zero()
+    for m in (0, 1, 2, 20, inst.ell - 2):
+        assert abs(delta_moment(plus, minus, m, inst.c)) <= 1e-13
+        assert abs(delta_moment(*dense, m, inst.c)) <= 1e-13
+    for m in (inst.ell**2, 4 * inst.ell**2):
+        m += m % 2 == inst.ell % 2
+        want = delta_moment(*dense, m, inst.c)
+        got = delta_moment(plus, minus, m, inst.c)
+        if amplitude_zero:
+            assert abs(got) <= 1e-12 and abs(want) <= 1e-12
+        else:
+            assert got == pytest.approx(want, rel=1e-9)
+
+    # exact_clipped at the paper m against the closed form, and against the
+    # dense path below ell 252: there the dense top eigenvalue misses c by a
+    # few ulp, which (lambda/c)^m multiplies by m, to 1.8e-9
+    ov = overlap(circuit, x).to_float()
+    closed = -ov * spectral.scaled_corner(inst.ell, inst.m) / math.sqrt(1 + inst.d_parity)
+    got = delta_moment(plus, minus, inst.m, inst.c)
+    if amplitude_zero:
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(closed, rel=1e-9)
+    if inst.ell < 252:
+        want = delta_moment(*dense, inst.m, inst.c)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_gauss_rule_of_a_spent_krylov_space():
+    # the path a - b - c from a: the Krylov space is all three vertices, so
+    # the rule stops at three nodes, the measure itself (see the hand values
+    # in test_path_measure_by_hand)
+    graph = toy_graph("ab bc")
+    start = np.eye(len(graph))[graph.index[graph.system.alphabet.encode("a")]]
+    nodes, weights = gauss_rule(graph_operator(graph), start)
+    assert len(nodes) == 3
+    np.testing.assert_allclose(nodes, [-math.sqrt(2), 0.0, math.sqrt(2)], atol=1e-14)
+    np.testing.assert_allclose(weights, [0.25, 0.5, 0.25], atol=1e-14)
+    assert [len(part) for part in gauss_rule(graph_operator(graph), np.zeros(3))] == [0, 0]
+
+
+def graph_operator(graph):
+    """Oracle: v -> A v from the dense adjacency."""
+    a = np.zeros((len(graph), len(graph)))
+    for i, row in enumerate(graph.adj):
+        a[i, list(row)] = 1.0
+    return lambda v: a @ v

@@ -169,7 +169,7 @@ def test_three_term_orbit_is_forward_orbit(text, x):
     # w_{j+1} = A w_j - 2 w_{j-1} gives F^j (e_t - e_t'), then stops at ell
     inst = compile_circuit(parse_circuit(text), x)
     space = WalkSpace(inst.system)
-    orbit = list(islice(verifier._orbit(inst, space), inst.ell + 1))
+    orbit = list(islice(verifier.orbit(inst, space), inst.ell + 1))
     assert len(orbit) == inst.ell
     forward_space, forward = integer_orbit(inst)
 
