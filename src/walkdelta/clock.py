@@ -603,6 +603,11 @@ def build_strings(
 SQRT2 = math.sqrt(2.0)
 
 
+def growth_constants(ell: int) -> tuple[float, float]:
+    """Growth constant c = sqrt(2) lambda_0 and gap epsilon = w_0 / (3 sqrt(2)) of an ell."""
+    return SQRT2 * spectral.eigenvalue(ell, 0), spectral.weight(ell, 0) / (3 * SQRT2)
+
+
 @dataclass
 class CompiledInstance:
     system: ClockSystem
@@ -639,9 +644,11 @@ class CompiledInstance:
         Instance files produced by the compiler carry the rule-generator
         tag; hand-written instances may instead list explicit rules in the
         rewriting-system format, in which case the clock-specific fields
-        take neutral defaults.  Malformed documents raise CompileError, as
-        does an m below 0 or, on a compiled instance, an m below ell - 1 or
-        of the parity of ell: no walk of that length is a gap instance.
+        take neutral defaults; a compiled instance's c and epsilon follow
+        from its ell, whatever the file holds.  Malformed documents raise
+        CompileError, as does an m below 0, an explicit c or epsilon out of
+        range, or, on a compiled instance, an m below ell - 1 or of the
+        parity of ell: no walk of that length is a gap instance.
         """
         if not isinstance(doc, dict) or not isinstance(doc.get("system"), dict):
             raise CompileError("instance file must hold an object with a system object")
@@ -656,27 +663,26 @@ class CompiledInstance:
             else:
                 raise CompileError("unknown rule generator in instance file")
             s, t, t_prime = (system.alphabet.encode(doc[key]) for key in ("s", "t", "t_prime"))
-            fields = dict(
-                m=int(doc["m"]),
-                ell=int(doc.get("ell", 2)),
-                d_parity=int(doc.get("d_parity", 0)),
-                c=float(doc.get("c", 2.0)),
-                epsilon=float(doc.get("epsilon", 0.0)),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
+            m, ell, d_parity = int(doc["m"]), int(doc.get("ell", 2)), int(doc.get("d_parity", 0))
+            if rules == "clock-v1":  # the file's c and epsilon are only copies
+                c, epsilon = growth_constants(ell)
+            else:
+                c, epsilon = float(doc.get("c", 2.0)), float(doc.get("epsilon", 0.0))
+                if not (0 < c < math.inf and 0 <= epsilon < math.inf):
+                    raise CompileError(f"need finite c > 0 and epsilon >= 0, got {c}, {epsilon}")
+        except (TypeError, ValueError, OverflowError, spectral.SpectralError) as exc:
             raise CompileError(f"malformed instance file: {exc}") from None
         if not len(s) == len(t) == len(t_prime) >= system.window:
             raise CompileError(
                 f"s, t and t' must have one length of at least the window {system.window}"
             )
-        m, ell = fields["m"], fields["ell"]
         if m < 0:
             raise CompileError(f"m = {m} must be >= 0")
         if rules == "clock-v1" and (m < ell - 1 or m % 2 == ell % 2):
             raise CompileError(
                 f"m = {m} must be >= ell - 1 and of the parity opposite to ell = {ell}"
             )
-        return cls(system=system, s=s, t=t, t_prime=t_prime, **fields)
+        return cls(system, s, t, t_prime, m, ell, d_parity, c, epsilon)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -708,8 +714,7 @@ def compile_circuit(
     m = spectral.choose_m(ell, m_mode)
     if m % 2 == ell % 2:
         raise CompileError(f"m = {m} has the parity of ell = {ell}")
-    c = SQRT2 * spectral.eigenvalue(ell, 0)
-    epsilon = spectral.weight(ell, 0) / (3 * SQRT2)
+    c, epsilon = growth_constants(ell)
     instance = CompiledInstance(
         system=ClockSystem(),
         s=s,

@@ -11,15 +11,14 @@ c^m overflows any float, while the normalized quantities (lambda/c)^m stay
 inside [-1, 1] by the growth promise.
 
 ``estimate_with_noise`` forms the two measures from the orbit of e_t - e_t'
-(``orbit_measures``); the dense ``spectral_measure`` of the whole component
-is the reference the tests compare it with.
+(``orbit_measures``); ``spectral_measure``, one dense eigh of the whole
+component, is the reference the tests compare it with.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
@@ -74,108 +73,34 @@ def reachable_component(
     return ReachableGraph(instance.system, seeds, max_vertices=max_vertices)
 
 
-# the bipartite decomposition of each component, dropped with the component;
-# the two spectral measures of one estimate share one eigendecomposition
-_halves: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-# singular values of B at or below this are zero: eigh leaves round-off of
-# order 1e-15 on the zero eigenvalues of B B^T, i.e. 1e-7 on their roots
-ZERO_SINGULAR = 1e-6
-
-
-@dataclass(frozen=True)
-class _Halves:
-    """A = [[0, B], [B^T, 0]] in colour order, with B B^T = U diag(mu) U^T.
-
-    ``eigenvalues`` is the measure support every state shares: +sigma and
-    -sigma for each nonzero singular value sigma = sqrt(mu) of B, then one
-    atom at 0 for the kernel of A.
-    """
-
-    rows: np.ndarray  # component indices of colour 0 (the rows of B)
-    cols: np.ndarray  # component indices of colour 1 (the columns of B)
-    b: np.ndarray
-    u: np.ndarray
-    nonzero: np.ndarray  # mask of the columns of u with sigma > ZERO_SINGULAR
-    sigma: np.ndarray  # the nonzero singular values, in the order of the mask
-    eigenvalues: np.ndarray
-
-
-def _two_colouring(graph: ReachableGraph) -> np.ndarray:
-    """Colour 0/1 of every vertex, by breadth-first search from each piece."""
-    colour = np.full(len(graph), -1, dtype=np.int8)
-    for root in range(len(graph)):
-        if colour[root] >= 0:
-            continue
-        colour[root] = 0
-        queue = deque([root])
-        while queue:
-            i = queue.popleft()
-            for j in graph.adj[i]:
-                if colour[j] < 0:
-                    colour[j] = 1 - colour[i]
-                    queue.append(j)
-                elif colour[j] == colour[i]:
-                    raise EstimateError("component is not bipartite: it has an odd cycle")
-    return colour
-
-
-def _diagonalize(graph: ReachableGraph) -> _Halves:
-    """Spectrum of the 0/1 adjacency restricted to the component.
-
-    The component is bipartite, so one eigh of B B^T, half the size of A,
-    gives every eigenvalue of A as +-sqrt of an eigenvalue of B B^T.
-    """
-    n = len(graph)
-    if n > MAX_DENSE_VERTICES:
-        raise EstimateError(f"component has {n} vertices, guard is {MAX_DENSE_VERTICES}")
-    colour = _two_colouring(graph)
-    rows, cols = np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)
-    half = np.empty(n, dtype=np.intp)
-    half[rows] = np.arange(len(rows))
-    half[cols] = np.arange(len(cols))
-
-    def block(side: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(side), n - len(side)))
-        for i, v in enumerate(side):
-            out[i, half[list(graph.adj[v])]] = 1.0
-        return out
-
-    b = block(rows)
-    if not np.array_equal(b, block(cols).T):
-        raise EstimateError("adjacency restricted to component is not symmetric")
-    mu, u = np.linalg.eigh(b @ b.T)
-    sigma = np.sqrt(np.maximum(mu, 0.0))
-    nonzero = sigma > ZERO_SINGULAR
-    top = sigma[nonzero]
-    eigenvalues = np.concatenate([top, -top, [0.0]])
-    return _Halves(rows, cols, b, u, nonzero, top, eigenvalues)
+# the eigendecomposition of each component, dropped with the component; the
+# two spectral measures of one estimate share it
+_eigen: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def spectral_measure(graph: ReachableGraph, state: dict) -> SpectralMeasure:
     """The state's spectral measure under the component's adjacency.
 
-    With a = u^T psi_P and b = u^T B psi_Q / sigma for the parts psi_P,
-    psi_Q of the state on the two colour classes, the eigenvalues +-sigma
-    carry (a +- b)^2 / 2. The atom at 0 carries a^2 of every zero sigma
-    plus what is left of |psi_Q|^2 in the kernel of B.
+    One dense eigh of the 0/1 adjacency restricted to the component; the
+    eigenvalue of each orthonormal eigenvector v_i carries (v_i . psi)^2.
     """
-    halves = _halves.get(graph)
-    if halves is None:
-        halves = _halves[graph] = _diagonalize(graph)
+    decomposition = _eigen.get(graph)
+    if decomposition is None:
+        n = len(graph)
+        if n > MAX_DENSE_VERTICES:
+            raise EstimateError(f"component has {n} vertices, guard is {MAX_DENSE_VERTICES}")
+        adjacency = np.zeros((n, n))
+        for i, row in enumerate(graph.adj):
+            adjacency[i, list(row)] = 1.0
+        decomposition = _eigen[graph] = np.linalg.eigh(adjacency)
+    eigenvalues, vectors = decomposition
     amp = np.zeros(len(graph))
     for s, coef in state.items():
         idx = graph.index.get(s)
         if idx is None:
             raise EstimateError("state supported outside the reachable component")
         amp[idx] = coef
-    psi_p, psi_q = amp[halves.rows], amp[halves.cols]
-    nz = halves.nonzero
-    a = halves.u.T @ psi_p
-    b = (halves.u.T @ (halves.b @ psi_q))[nz] / halves.sigma
-    kernel = float(a[~nz] @ a[~nz]) + max(float(psi_q @ psi_q - b @ b), 0.0)
-    probs = np.concatenate([(a[nz] + b) ** 2 / 2, (a[nz] - b) ** 2 / 2, [kernel]])
-    return SpectralMeasure(halves.eigenvalues, probs)
+    return SpectralMeasure(eigenvalues, (vectors.T @ amp) ** 2)
 
 
 def _unit_entry(c: int, j: int) -> float:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import walkdelta
@@ -207,6 +208,30 @@ TOY = {
 }
 
 
+# a star pair t - x, y and t' - u, v: the orbit of e_t - e_t' is orthonormal,
+# so estimate reaches its noise plan and bounds, which divide by c
+TREE = {
+    "system": {
+        "alphabet": ["p", "t", "u", "v", "x", "y"],
+        "window": 1,
+        "rules": [[["t"], ["x"]], [["t"], ["y"]], [["p"], ["u"]], [["p"], ["v"]]],
+    },
+    "s": ["x"],
+    "t": ["t"],
+    "t_prime": ["p"],
+    "m": 3,
+}
+
+BAD_CONSTANTS = {
+    "c-zero": {"c": 0},
+    "c-nan": {"c": math.nan},
+    "c-negative": {"c": -2},
+    "c-infinite": {"c": math.inf},
+    "epsilon-negative": {"epsilon": -1.0},
+    "epsilon-nan": {"epsilon": math.nan},
+}
+
+
 def _clock_short(instance):
     doc = json.loads(instance.read_text())
     return {**doc, **{key: doc[key][:2] for key in ("s", "t", "t_prime")}}
@@ -228,7 +253,8 @@ def _clock_with_m(m):
         _clock_with_m(-1),
         _clock_with_m(61),  # ell = 64: below ell - 1, of the right parity
         _clock_with_m(64),  # of the parity of ell
-    ],
+    ]
+    + [lambda instance, bad=bad: {**TREE, **bad} for bad in BAD_CONSTANTS.values()],
     ids=[
         "not-an-object",
         "non-numeric-m",
@@ -239,7 +265,8 @@ def _clock_with_m(m):
         "clock-negative-m",
         "clock-m-below-ell-1",
         "clock-m-parity-of-ell",
-    ],
+    ]
+    + list(BAD_CONSTANTS),
 )
 def test_malformed_instance_exit_2(workspace, tmp_path, capsys, document):
     _, circuit, instance = workspace
@@ -258,8 +285,15 @@ def test_malformed_instance_exit_2(workspace, tmp_path, capsys, document):
 # a document per instance kind, and the arguments of each command on it
 DOCUMENTS = {
     "explicit-rules": lambda instance: TOY,
+    "explicit-tree": lambda instance: TREE,
+    **{
+        f"explicit-{k}": lambda instance, bad=bad: {**TREE, **bad}
+        for k, bad in BAD_CONSTANTS.items()
+    },
     "clock": lambda instance: json.loads(instance.read_text()),
     "clock-ell-2": lambda instance: {**json.loads(instance.read_text()), "ell": 2},
+    "clock-c-100": lambda instance: {**json.loads(instance.read_text()), "c": 100.0},
+    "clock-epsilon-0": lambda instance: {**json.loads(instance.read_text()), "epsilon": 0.0},
 }
 ARGUMENTS = {
     "delta": ["--steps", "3"],
@@ -280,7 +314,10 @@ def test_no_traceback(workspace, tmp_path, capsys, command, kind):
     assert code in {0, 1, 2, 3, 4}
     if code == 1:
         assert json.loads(captured.out)["passed"] in (False, None)
-    if (command, kind) == ("verify", "explicit-rules"):  # every check is clock-specific
+    if kind.removeprefix("explicit-") in BAD_CONSTANTS or (command, kind) in {
+        ("verify", "explicit-rules"),  # every check is clock-specific
+        ("verify", "explicit-tree"),
+    }:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("parse error:")
@@ -290,6 +327,23 @@ def test_no_traceback(workspace, tmp_path, capsys, command, kind):
         details = checks["growth_constant_resolution"]["details"]
         assert details["log_margin_vs_lambda1"] is None
         assert details["lambda1_variant_holds_at_m"] is False
+
+
+@pytest.mark.parametrize("field,value", [("c", 100.0), ("epsilon", 0.0)])
+def test_clock_constants_follow_from_ell(workspace, tmp_path, capsys, field, value):
+    # the c and epsilon of a compiled instance file are copies of what its
+    # ell fixes: a tampered copy changes no check and no estimate
+    _, circuit, instance = workspace
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps({**json.loads(instance.read_text()), field: value}))
+    for command, extra in (
+        ("verify", ["--circuit", str(circuit), "--input", "0"]),
+        ("estimate", ["--eta", "0", "--theta", "0", "--samples", "10"]),
+    ):
+        want_code, want = run(capsys, [command, "--instance", str(instance)] + extra)
+        code, doc = run(capsys, [command, "--instance", str(path)] + extra)
+        assert code == want_code
+        assert doc["outputs"] == want["outputs"]
 
 
 @pytest.mark.parametrize("command", ["verify", "compile"])
@@ -336,7 +390,8 @@ def test_estimate_orbit_not_orthonormal_exit_3(tmp_path, capsys, edges):
 
 @pytest.mark.slow
 def test_estimate_past_the_dense_guard(tmp_path, capsys):
-    # ell 704: the component has 11,264 vertices, past MAX_DENSE_VERTICES
+    # ell 704: the component has 11,264 vertices, past the 4,000 that the
+    # dense reference spectral_measure allows; estimate never diagonalises it
     circuit = parse_circuit("qubits 3\nh 0\n---\nh 1\n---\ntoffoli 0\n")
     inst = compile_circuit(circuit, [0, 0, 0])
     path = tmp_path / "hh-toffoli.json"
@@ -409,6 +464,30 @@ def test_commands_leave_numpy_unloaded(workspace, command):
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_estimate_takes_no_dense_eigh(workspace, capsys, monkeypatch):
+    # spectral_measure is the tests' reference: the estimate path reaches
+    # neither it nor an eigh larger than the Jacobi matrix of the Gauss rule
+    _, _, instance = workspace
+    eigh = np.linalg.eigh
+
+    def small_eigh(a, *args, **kwargs):
+        if len(a) > estimator.QUADRATURE_NODES:
+            raise AssertionError(f"eigh of a {len(a)} x {len(a)} matrix")
+        return eigh(a, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectral_measure on the estimate path")
+
+    monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+    monkeypatch.setattr(estimator, "spectral_measure", refuse)
+    argv = ["estimate", "--instance", str(instance), "--eta", "0", "--theta", "0", "--samples", "10"]
+    code, doc = run(capsys, argv)
+    assert code == 4
+    assert (doc["schema"], doc["command"], doc["passed"]) == (cli.SCHEMA, "estimate", None)
+    out = doc["outputs"]
+    assert (out["vertices"], out["quadrature_nodes"]) == (512, estimator.QUADRATURE_NODES)
 
 
 def test_estimate_vertex_budget_option_removed(workspace, capsys):

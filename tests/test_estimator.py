@@ -23,7 +23,7 @@ from walkdelta.estimator import (
     reachable_component,
     spectral_measure,
 )
-from walkdelta.rewriting import Alphabet, Rule, RewritingSystem
+from walkdelta.rewriting import Alphabet, Rule, RewritingSystem, WalkSpace, WalkVector, step
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +84,8 @@ def test_one_eigh_for_both_measures(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
     for state in build_states(inst):
         spectral_measure(graph, state)
-    # one eigh, of B B^T on one colour class: half the component
-    assert calls == [len(graph) // 2]
+    # one eigh, of the whole component's adjacency
+    assert calls == [len(graph)]
 
 
 def test_spectral_measure_is_probability(h_measures):
@@ -193,41 +193,30 @@ def test_vertex_guard():
         reachable_component(inst, max_vertices=100)
 
 
-# -- the half-size eigh against a dense eigh of the whole adjacency ----------
+# -- the dense reference against exact walk counts ----------------------------
 
 
-def dense_measure(graph, state) -> SpectralMeasure:
-    """Oracle: the spectral measure from eigh of the full |V| x |V| adjacency."""
-    n = len(graph)
-    a = np.zeros((n, n))
-    for i, row in enumerate(graph.adj):
-        a[i, list(row)] = 1.0
-    vals, vecs = np.linalg.eigh(a)
-    amp = np.zeros(n)
-    for s, coef in state.items():
-        amp[graph.index[s]] = coef
-    return SpectralMeasure(vals, (vecs.T @ amp) ** 2)
+def walk_moments(graph, state, top: int) -> list[float]:
+    """Oracle: <psi|A^n|psi> = sum_x,y psi_x psi_y (A^n)_xy for n = 0..top,
+    with (A^n)_xy counted by integer walks from each e_x of the support, in
+    a walk space of its own."""
+    space = WalkSpace(graph.system)
+    terms = [[] for _ in range(top + 1)]
+    for x, px in state.items():
+        v = WalkVector.basis(space, x)
+        for n in range(top + 1):
+            for y, py in state.items():
+                terms[n].append(px * py * v.entries.get(space.intern(y), 0))
+            v = step(graph.system, v)
+    return [math.fsum(t) for t in terms]
 
 
-def assert_same_measure(got: SpectralMeasure, want: SpectralMeasure) -> None:
-    # mass per eigenvalue: group the oracle's eigenvalues into clusters (a
-    # degenerate eigenvalue's mass is basis-free only as a total) and compare
-    # the mass each measure puts within 1e-7 of every cluster
-    order = np.argsort(want.eigenvalues)
-    vals, probs = want.eigenvalues[order], want.probabilities[order]
-    cuts = np.flatnonzero(np.diff(vals) > 1e-7) + 1
-    seen = 0.0
-    for cluster, mass in zip(np.split(vals, cuts), np.split(probs, cuts)):
-        near = (got.eigenvalues >= cluster[0] - 1e-7) & (got.eigenvalues <= cluster[-1] + 1e-7)
-        assert float(got.probabilities[near].sum()) == pytest.approx(float(mass.sum()), abs=1e-10)
-        seen += float(got.probabilities[near].sum())
-    # no mass away from the oracle's eigenvalues
-    assert seen == pytest.approx(float(got.probabilities.sum()), abs=1e-12)
+def assert_walk_moments(got: SpectralMeasure, graph, state) -> None:
     assert np.all(got.probabilities >= 0)
-    for n in range(21):
-        scale = max(1.0, float(np.max(np.abs(vals)))) ** n
+    rho = max(1.0, float(np.max(np.abs(got.eigenvalues))))
+    for n, want in enumerate(walk_moments(graph, state, 20)):
         moment = float(got.probabilities @ got.eigenvalues**n)
-        assert moment == pytest.approx(float(probs @ vals**n), rel=1e-9, abs=1e-10 * scale)
+        assert moment == pytest.approx(want, rel=1e-9, abs=1e-10 * rho**n)
 
 
 ORACLE_CIRCUITS = [
@@ -239,16 +228,21 @@ ORACLE_CIRCUITS = [
 
 @pytest.mark.parametrize("text,x", ORACLE_CIRCUITS)
 def test_measures_match_dense_oracle(text, x):
-    inst = compile_circuit(parse_circuit(text), x)
+    circuit = parse_circuit(text)
+    inst = compile_circuit(circuit, x)
     graph = reachable_component(inst)
-    got = [spectral_measure(graph, state) for state in build_states(inst)]
-    want = [dense_measure(graph, state) for state in build_states(inst)]
-    for g, w in zip(got, want):
-        assert_same_measure(g, w)
-    for m in (0, 1, 2, 20, inst.ell - 1, 201, inst.m):
-        assert delta_moment(*got, m, inst.c) == pytest.approx(
-            delta_moment(*want, m, inst.c), rel=1e-6, abs=1e-12
-        )
+    states = build_states(inst)
+    got = [spectral_measure(graph, state) for state in states]
+    for measure, state in zip(got, states):
+        assert_walk_moments(measure, graph, state)
+    # Delta(m) / c^m against the exact walks, and at the paper m against
+    # the closed form
+    ms = (0, 1, 2, 20, inst.ell - 1, 201)
+    deltas = verifier.exact_deltas(inst, max(ms))
+    ov = overlap(circuit, x).to_float()
+    closed = -ov * spectral.scaled_corner(inst.ell, inst.m) / math.sqrt(1 + inst.d_parity)
+    for m, want in [(m, deltas[m] / inst.c**m) for m in ms] + [(inst.m, closed)]:
+        assert delta_moment(*got, m, inst.c) == pytest.approx(want, rel=1e-6, abs=1e-12)
 
 
 def toy_graph(edges: str) -> verifier.ReachableGraph:
@@ -280,13 +274,16 @@ def test_toy_measures_match_dense_oracle(edges):
     states = [toy_state(graph, **coefs) for coefs in TOY_STATES]
     got = [spectral_measure(graph, state) for state in states]
     for state, measure in zip(states, got):
-        assert_same_measure(measure, dense_measure(graph, state))
-    for first, second in zip(states, states[1:]):
-        g = [spectral_measure(graph, first), spectral_measure(graph, second)]
-        w = [dense_measure(graph, first), dense_measure(graph, second)]
+        assert_walk_moments(measure, graph, state)
+    # c = 2 is at least the spectral radius of either graph, so nothing is
+    # clipped and the walks give Delta(m) / c^m of any two states
+    c = 2.0
+    for i in range(len(states) - 1):
+        first, second = (walk_moments(graph, state, 7) for state in states[i : i + 2])
         for m in range(8):
-            assert delta_moment(*g, m, 1.5) == pytest.approx(
-                delta_moment(*w, m, 1.5), rel=1e-9, abs=1e-12
+            want = (first[m] - second[m]) / math.sqrt(2.0) / c**m
+            assert delta_moment(got[i], got[i + 1], m, c) == pytest.approx(
+                want, rel=1e-9, abs=1e-12
             )
 
 
@@ -301,10 +298,17 @@ def test_path_measure_by_hand():
     assert mass[0.0] == pytest.approx(0.5)
 
 
-def test_triangle_is_not_bipartite():
+def test_triangle_measure_by_hand():
+    # triangle a-b-c, an odd cycle: eigenvalue 2 has the eigenvector
+    # (1, 1, 1)/sqrt 3, so it carries 1/3 of e_a, and the double eigenvalue
+    # -1 carries the other 2/3
     graph = toy_graph("ab bc ca")
-    with pytest.raises(EstimateError, match="bipartite"):
-        spectral_measure(graph, toy_state(graph, a=1.0))
+    measure = spectral_measure(graph, toy_state(graph, a=1.0))
+    top = np.isclose(measure.eigenvalues, 2.0, rtol=0, atol=1e-12)
+    bottom = np.isclose(measure.eigenvalues, -1.0, rtol=0, atol=1e-12)
+    assert (int(top.sum()), int(bottom.sum())) == (1, 2)
+    assert float(measure.probabilities[top].sum()) == pytest.approx(1 / 3)
+    assert float(measure.probabilities[bottom].sum()) == pytest.approx(2 / 3)
 
 
 # -- the orbit measures against the dense oracle ------------------------------
