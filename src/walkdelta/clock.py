@@ -1,9 +1,10 @@
 """Circuit-to-rewriting compiler.
 
 Encodes a layered {H, Swap, Toffoli} circuit as a string-rewriting system on
-a 224-symbol cell alphabet.  Each cell stacks four tracks: a program symbol
-(gate code plus control markers), a data symbol (qubit values and formatting
-marks), an auxiliary bit, and a sign-simulator bit.  The local update
+a 224-symbol cell alphabet, one cell per byte of a ``bytes`` string.  Each
+cell stacks four tracks: a program symbol (gate code plus control markers), a
+data symbol (qubit values and formatting marks), an auxiliary bit, and a
+sign-simulator bit.  The local update
 operator acts on three adjacent cells; its nonzero matrix entries, all equal
 to one, define a symmetric window-3 relation whose walk counts encode the
 circuit's return amplitude.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -137,11 +139,12 @@ PREDECESSORS = _group((q, (p, move)) for p, guard, q, move in RULES)
 # every program pair a rule reads, forward or backward
 RULE_PAIRS = frozenset(TRANSITIONS) | frozenset(PREDECESSORS)
 # the program symbols of the control signal (the marked gates, HOLE, EXEC
-# and TURN); every pair in RULE_PAIRS holds exactly one
+# and TURN), every pair in RULE_PAIRS holds exactly one, and their cells
 SIGNALS = range(MARK_I, BLANK)
+SIGNAL_CELLS = re.compile(rb"[\x50-\xcf]")  # c >> 4 in SIGNALS (split_cell)
 
 
-def rule_windows(s: Sequence[int]) -> list[int]:
+def rule_windows(s: bytes) -> list[int]:
     """The start j, ascending, of every window of s whose program pair
     (cells 1 and 2) is in RULE_PAIRS.
 
@@ -150,15 +153,13 @@ def rule_windows(s: Sequence[int]) -> list[int]:
     windows holding it as cell 1 or 2 are looked at, and no window is
     found twice.
     """
-    # a cell's program symbol is c >> 4 (split_cell)
-    low, high = SIGNALS.start << 4, SIGNALS.stop << 4
     last = len(s) - 3
     out: list[int] = []
-    for i, c in enumerate(s):
-        if low <= c < high:
-            for j in (i - 2, i - 1):
-                if 0 <= j <= last and (s[j + 1] >> 4, s[j + 2] >> 4) in RULE_PAIRS:
-                    out.append(j)
+    for signal in SIGNAL_CELLS.finditer(s):
+        i = signal.start()
+        for j in (i - 2, i - 1):
+            if 0 <= j <= last and (s[j + 1] >> 4, s[j + 2] >> 4) in RULE_PAIRS:
+                out.append(j)
     return out
 
 
@@ -197,8 +198,10 @@ def execution_class(p0: int, p1: int, dm: int, d0: int, d1: int) -> int:
     return X_NONE
 
 
-def _tracks(cells: tuple[int, int, int]) -> list[list[int]]:
+def _tracks(cells: bytes) -> list[list[int]]:
     """The program, data, aux and sim tracks of a window, one list each."""
+    if type(cells) is not bytes:  # the caches compare bytes: a tuple would miss
+        raise TypeError(f"a window is 3 bytes, not {type(cells).__name__}")
     return [list(track) for track in zip(*map(split_cell, cells))]
 
 
@@ -212,7 +215,7 @@ def _carry(a: list[int], s: list[int], move: int) -> None:
     s[move], s[move + 1] = s[move + 1], s[move]
 
 
-def _images(cells: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
+def _images(cells: bytes) -> tuple[bytes, ...]:
     p, d, a, s = _tracks(cells)
     match = transition_match(p[1], p[2], d[1], d[2])
     if match is None:  # most windows: return before building branches
@@ -252,14 +255,14 @@ def _images(cells: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
     out = []
     for nd, na, ns in branches:
         _carry(na, ns, move)
-        out.append(tuple(map(make_cell, (p[0], q0, q1), nd, na, ns)))
+        out.append(bytes(map(make_cell, (p[0], q0, q1), nd, na, ns)))
     return tuple(out)
 
 
 forward_images = lru_cache(maxsize=None)(_images)
 
 
-def _backward_images(cells: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
+def _backward_images(cells: bytes) -> tuple[bytes, ...]:
     """All triples tau with cells in forward_images(tau).
 
     Candidate predecessors come from the inverse of the rule table and the
@@ -283,7 +286,7 @@ def _backward_images(cells: tuple[int, int, int]) -> tuple[tuple[int, int, int],
                 right = make_cell(q1, d2c, ua[2], us[2])
                 for a1c in (0, 1):
                     for s1c in (0, 1):
-                        cand = (left, make_cell(q0, d1c, a1c, s1c), right)
+                        cand = bytes((left, make_cell(q0, d1c, a1c, s1c), right))
                         if cells in forward_images(cand):
                             out.append(cand)
     return tuple(out)
@@ -306,12 +309,12 @@ class ClockSystem:
     def __init__(self):
         self.alphabet = clock_alphabet()
 
-    def neighbors(self, s: tuple[int, ...]) -> set[tuple[int, ...]]:
+    def neighbors(self, s: bytes) -> set[bytes]:
         return set(self.weighted_neighbors(s))
 
-    def weighted_neighbors(self, s: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    def weighted_neighbors(self, s: bytes) -> dict[bytes, int]:
         """Neighbors with the number of distinct window derivations."""
-        out: dict[tuple[int, ...], int] = {}
+        out: dict[bytes, int] = {}
         for j in rule_windows(s):
             triple = s[j : j + 3]
             for img in forward_images(triple) + backward_images(triple):
@@ -377,7 +380,7 @@ def scan_rules(spot_checks: int = 20000, seed: int = 0) -> ScanReport:
     for ptrip in itertools.product(range(N_PROGRAM), repeat=3):
         for dtrip in itertools.product(range(N_DATA), repeat=3):
             expect = _expected_images(ptrip, dtrip)
-            rep = tuple(map(make_cell, ptrip, dtrip, (0, 0, 1), (0, 1, 0)))
+            rep = bytes(map(make_cell, ptrip, dtrip, (0, 0, 1), (0, 1, 0)))
             imgs = _images(rep)
             if len(imgs) != expect:
                 raise CompileError(f"scan mismatch at {rep}: {len(imgs)} != {expect}")
@@ -398,7 +401,7 @@ def scan_rules(spot_checks: int = 20000, seed: int = 0) -> ScanReport:
 
     rng = random.Random(seed)
     for _ in range(spot_checks):
-        trip = tuple(rng.randrange(ALPHABET_SIZE) for _ in range(3))
+        trip = bytes(rng.randrange(ALPHABET_SIZE) for _ in range(3))
         imgs = _images(trip)
         p, d, _, _ = _tracks(trip)
         if len(imgs) != _expected_images(p, d):
@@ -576,9 +579,7 @@ def control_simulate(lay: Layout, max_steps: int = 1_000_000) -> ControlRun:
     raise CompileError(f"no termination within {max_steps} steps")
 
 
-def build_strings(
-    lay: Layout, run: ControlRun
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def build_strings(lay: Layout, run: ControlRun) -> tuple[bytes, bytes, bytes]:
     """Assemble the three walk endpoints (s, t, t').
 
     s is the final configuration with the data register reset to the circuit
@@ -587,16 +588,12 @@ def build_strings(
     the execution marker.  Aux tracks are all zero.
     """
     final_prog = run.configs[-1]
-    s = tuple(
-        make_cell(p, d, 0, 0) for p, d in zip(final_prog, lay.data)
-    )
-    t = tuple(
+    s = bytes(make_cell(p, d, 0, 0) for p, d in zip(final_prog, lay.data))
+    t = bytes(
         make_cell(p, d, 0, 1 if i == lay.exec_pos else 0)
         for i, (p, d) in enumerate(zip(lay.program, lay.data))
     )
-    t_prime = tuple(
-        make_cell(p, d, 0, 0) for p, d in zip(lay.program, lay.data)
-    )
+    t_prime = bytes(make_cell(p, d, 0, 0) for p, d in zip(lay.program, lay.data))
     return s, t, t_prime
 
 
@@ -610,10 +607,10 @@ def growth_constants(ell: int) -> tuple[float, float]:
 
 @dataclass
 class CompiledInstance:
-    system: ClockSystem
-    s: tuple[int, ...]
-    t: tuple[int, ...]
-    t_prime: tuple[int, ...]
+    system: ClockSystem | RewritingSystem
+    s: bytes | tuple[int, ...]  # bytes for a ClockSystem, one cell a byte
+    t: bytes | tuple[int, ...]
+    t_prime: bytes | tuple[int, ...]
     m: int
     ell: int
     d_parity: int
@@ -646,9 +643,9 @@ class CompiledInstance:
         rewriting-system format, in which case the clock-specific fields
         take neutral defaults; a compiled instance's c and epsilon follow
         from its ell, whatever the file holds.  Malformed documents raise
-        CompileError, as does an m below 0, an explicit c or epsilon out of
-        range, or, on a compiled instance, an m below ell - 1 or of the
-        parity of ell: no walk of that length is a gap instance.
+        CompileError, as does an m below 0, a d_parity not 0 or 1, an explicit
+        c or epsilon out of range, or, on a compiled instance, an m below
+        ell - 1 or of the parity of ell: no gap instance has such a walk.
         """
         if not isinstance(doc, dict) or not isinstance(doc.get("system"), dict):
             raise CompileError("instance file must hold an object with a system object")
@@ -663,8 +660,9 @@ class CompiledInstance:
             else:
                 raise CompileError("unknown rule generator in instance file")
             s, t, t_prime = (system.alphabet.encode(doc[key]) for key in ("s", "t", "t_prime"))
-            m, ell, d_parity = int(doc["m"]), int(doc.get("ell", 2)), int(doc.get("d_parity", 0))
+            m, ell, d_parity = int(doc["m"]), int(doc.get("ell", 2)), doc.get("d_parity", 0)
             if rules == "clock-v1":  # the file's c and epsilon are only copies
+                s, t, t_prime = bytes(s), bytes(t), bytes(t_prime)
                 c, epsilon = growth_constants(ell)
             else:
                 c, epsilon = float(doc.get("c", 2.0)), float(doc.get("epsilon", 0.0))
@@ -678,6 +676,8 @@ class CompiledInstance:
             )
         if m < 0:
             raise CompileError(f"m = {m} must be >= 0")
+        if type(d_parity) is not int or d_parity not in (0, 1):
+            raise CompileError(f"d_parity = {d_parity!r} must be 0 or 1")
         if rules == "clock-v1" and (m < ell - 1 or m % 2 == ell % 2):
             raise CompileError(
                 f"m = {m} must be >= ell - 1 and of the parity opposite to ell = {ell}"

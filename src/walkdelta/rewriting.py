@@ -158,7 +158,8 @@ class WalkSpace:
     to a whole component. Walk frontiers revisit the same strings every
     step; interning keys all maps by small integers and the adjacency of
     each vertex is generated once, on first use. ``strings[i]`` is the
-    string of id i, ``index`` maps it back, and ``adj[i]`` holds the sorted
+    string of id i, in the system's form (symbol tuples, or bytes for the
+    clock system), ``index`` maps it back, and ``adj[i]`` holds the sorted
     neighbor ids of i, or None until first asked for. ``multiple`` holds the
     ids whose generated adjacency had a neighbor derivable in more than one
     way; the 0/1 adjacency counts such an edge once.
@@ -166,12 +167,12 @@ class WalkSpace:
 
     def __init__(self, system):
         self.system = system
-        self.index: dict[tuple[int, ...], int] = {}
-        self.strings: list[tuple[int, ...]] = []
+        self.index: dict[Sequence[int], int] = {}
+        self.strings: list[Sequence[int]] = []
         self.adj: list[tuple[int, ...] | None] = []
         self.multiple: set[int] = set()
 
-    def intern(self, s: tuple[int, ...]) -> int:
+    def intern(self, s: Sequence[int]) -> int:
         sid = self.index.get(s)
         if sid is None:
             sid = len(self.strings)
@@ -186,8 +187,7 @@ class WalkSpace:
             nbrs = self.system.weighted_neighbors(self.strings[sid])
             if sum(nbrs.values()) != len(nbrs):
                 self.multiple.add(sid)
-            cached = tuple(sorted(self.intern(t) for t in nbrs))
-            self.adj[sid] = cached
+            cached = self.adj[sid] = tuple(sorted(map(self.intern, nbrs)))
         return cached
 
     def multiply(self, entries: dict[int, int]) -> dict[int, int]:
@@ -198,7 +198,7 @@ class WalkSpace:
         """
         out: dict[int, int] = {}
         for sid, count in entries.items():
-            for nb in self.adjacency(sid):
+            for nb in self.adj[sid] or self.adjacency(sid):
                 out[nb] = out.get(nb, 0) + count
         for sid in [sid for sid, count in out.items() if not count]:
             del out[sid]
@@ -221,7 +221,7 @@ class WalkVector:
     entries: dict[int, int]
 
     @classmethod
-    def basis(cls, space: WalkSpace, s: tuple[int, ...]) -> "WalkVector":
+    def basis(cls, space: WalkSpace, s: Sequence[int]) -> "WalkVector":
         return cls(space, {space.intern(s): 1})
 
 
@@ -232,14 +232,14 @@ def step(system, v: WalkVector) -> WalkVector:
     return WalkVector(v.space, v.space.multiply(v.entries))
 
 
-def _check_walk(n: int, *strings: tuple[int, ...]) -> None:
+def _check_walk(n: int, *strings: Sequence[int]) -> None:
     if n < 0:
         raise RewriteError("walk length must be >= 0")
     if len({len(s) for s in strings}) > 1:
         raise RewriteError("endpoint strings differ in length")
 
 
-def count_walks(system, s: tuple[int, ...], t: tuple[int, ...], n: int) -> int:
+def count_walks(system, s: Sequence[int], t: Sequence[int], n: int) -> int:
     """Exact (A^n)_{s,t}: the number of length-n walks from s to t."""
     _check_walk(n, s, t)
     space = WalkSpace(system)

@@ -11,6 +11,7 @@ import walkdelta
 from walkdelta import cli, estimator, spectral
 from walkdelta.circuits import overlap, parse_circuit
 from walkdelta.clock import compile_circuit
+from walkdelta.rewriting import RewritingSystem, brute_force_count
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +232,9 @@ BAD_CONSTANTS = {
     "epsilon-nan": {"epsilon": math.nan},
 }
 
+# d is the parity of the dummy-Hadamard steps: 0 or 1, nothing else
+BAD_D_PARITY = {"d-parity-negative": -1, "d-parity-2": 2, "d-parity-fraction": 1.7}
+
 
 def _clock_short(instance):
     doc = json.loads(instance.read_text())
@@ -239,6 +243,10 @@ def _clock_short(instance):
 
 def _clock_with_m(m):
     return lambda instance: {**json.loads(instance.read_text()), "m": m}
+
+
+def _clock_with_d_parity(d):
+    return lambda instance: {**json.loads(instance.read_text()), "d_parity": d}
 
 
 @pytest.mark.parametrize(
@@ -254,7 +262,8 @@ def _clock_with_m(m):
         _clock_with_m(61),  # ell = 64: below ell - 1, of the right parity
         _clock_with_m(64),  # of the parity of ell
     ]
-    + [lambda instance, bad=bad: {**TREE, **bad} for bad in BAD_CONSTANTS.values()],
+    + [lambda instance, bad=bad: {**TREE, **bad} for bad in BAD_CONSTANTS.values()]
+    + [_clock_with_d_parity(d) for d in BAD_D_PARITY.values()],
     ids=[
         "not-an-object",
         "non-numeric-m",
@@ -266,7 +275,8 @@ def _clock_with_m(m):
         "clock-m-below-ell-1",
         "clock-m-parity-of-ell",
     ]
-    + list(BAD_CONSTANTS),
+    + list(BAD_CONSTANTS)
+    + [f"clock-{k}" for k in BAD_D_PARITY],
 )
 def test_malformed_instance_exit_2(workspace, tmp_path, capsys, document):
     _, circuit, instance = workspace
@@ -294,6 +304,7 @@ DOCUMENTS = {
     "clock-ell-2": lambda instance: {**json.loads(instance.read_text()), "ell": 2},
     "clock-c-100": lambda instance: {**json.loads(instance.read_text()), "c": 100.0},
     "clock-epsilon-0": lambda instance: {**json.loads(instance.read_text()), "epsilon": 0.0},
+    **{f"clock-{k}": _clock_with_d_parity(d) for k, d in BAD_D_PARITY.items()},
 }
 ARGUMENTS = {
     "delta": ["--steps", "3"],
@@ -314,7 +325,7 @@ def test_no_traceback(workspace, tmp_path, capsys, command, kind):
     assert code in {0, 1, 2, 3, 4}
     if code == 1:
         assert json.loads(captured.out)["passed"] in (False, None)
-    if kind.removeprefix("explicit-") in BAD_CONSTANTS or (command, kind) in {
+    if kind.partition("-")[2] in BAD_CONSTANTS.keys() | BAD_D_PARITY.keys() or (command, kind) in {
         ("verify", "explicit-rules"),  # every check is clock-specific
         ("verify", "explicit-tree"),
     }:
@@ -357,6 +368,28 @@ def test_directory_path_exit_2(workspace, tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("parse error:")
+
+
+def test_explicit_rules_past_a_byte_of_symbols(tmp_path, capsys):
+    # 300 tokens, so no string is bytes: the walks run on symbol tuples,
+    # through symbols 256 and 299, and delta still counts them exactly
+    tokens = [f"x{i}" for i in range(300)]
+    cycle = ["x0", "x299", "x256", "x1", "x0"]
+    rules = [[[a], [b]] for a, b in zip(cycle, cycle[1:])] + [[["x256"], ["x0"]]]
+    doc = {"system": {"alphabet": tokens, "window": 1, "rules": rules},
+           "s": ["x0", "x256"], "t": ["x299", "x299"], "t_prime": ["x1", "x256"], "m": 0}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    system = RewritingSystem.from_json(doc["system"])
+    s, t, t_prime = (system.alphabet.encode(doc[key]) for key in ("s", "t", "t_prime"))
+    values = []
+    for n in range(8):
+        code, out = run(capsys, ["delta", "--instance", str(path), "--steps", str(n)])
+        want = brute_force_count(system, s, t, n) - brute_force_count(system, s, t_prime, n)
+        assert int(out["outputs"]["delta"]) == want
+        assert code == cli.SIGN_EXIT[(want > 0) - (want < 0)]
+        values.append(want)
+    assert len(set(values)) > 2
 
 
 def test_estimate_endpoints_not_distinct_exit_3(tmp_path, capsys):

@@ -42,6 +42,7 @@ from walkdelta.clock import (
     forward_images,
     layout,
     make_cell,
+    rule_windows,
     split_cell,
 )
 
@@ -114,27 +115,27 @@ def test_every_rule_is_in_the_inverse_of_its_output():
 
 def test_blank_window_is_inert():
     blank = make_cell(BLANK, DOT, 0, 0)
-    assert forward_images((blank, blank, blank)) == ()
-    assert backward_images((blank, blank, blank)) == ()
+    assert forward_images(bytes((blank, blank, blank))) == ()
+    assert backward_images(bytes((blank, blank, blank))) == ()
 
 
 def test_boundary_annihilates():
     # execution marker meeting the terminating boundary symbol: no image
-    trip = (
+    trip = bytes((
         make_cell(GATE_I, D0, 0, 0),
         make_cell(EXEC, D0, 0, 0),
         make_cell(GATE_B, D0, 0, 0),
-    )
+    ))
     assert forward_images(trip) == ()
 
 
 def test_hadamard_branches_and_sim_flip():
     # execution marker to the left of an H above a binary data cell
-    trip = (
+    trip = bytes((
         make_cell(GATE_I, D0, 0, 0),
         make_cell(EXEC, D0, 0, 0),
         make_cell(GATE_H, D1, 0, 0),
-    )
+    ))
     imgs = forward_images(trip)
     assert len(imgs) == 2
     out_bits = set()
@@ -157,13 +158,13 @@ def test_forward_images_never_self():
     rng = random.Random(5)
     alph_size = ALPHABET_SIZE
     for _ in range(3000):
-        trip = tuple(rng.randrange(alph_size) for _ in range(3))
+        trip = bytes(rng.randrange(alph_size) for _ in range(3))
         imgs = forward_images(trip)
         assert len(imgs) <= 2
         assert trip not in imgs
 
 
-@given(st.tuples(*[st.integers(0, ALPHABET_SIZE - 1)] * 3))
+@given(st.tuples(*[st.integers(0, ALPHABET_SIZE - 1)] * 3).map(bytes))
 @settings(max_examples=400, deadline=None)
 def test_forward_backward_inverse(trip):
     for img in forward_images(trip):
@@ -172,10 +173,26 @@ def test_forward_backward_inverse(trip):
         assert trip in forward_images(pre)
 
 
+def test_a_tuple_window_never_gives_other_images():
+    # the image caches key and compare windows as bytes: a window given as
+    # a tuple must give the same images or raise, never miss silently
+    inst = compile_circuit(parse_circuit("qubits 1\nh 0"), [0])
+    strings = [inst.t, *inst.system.neighbors(inst.t)]
+    windows = {s[j : j + 3] for s in strings for j in rule_windows(s)}
+    assert any(map(forward_images, windows)) and any(map(backward_images, windows))
+    for window in windows:
+        for images in (forward_images, backward_images):
+            try:
+                got = images(tuple(window))
+            except TypeError:
+                continue
+            assert got == images(window)
+
+
 def test_no_window_is_bidirectional():
     rng = random.Random(11)
     for _ in range(3000):
-        trip = tuple(rng.randrange(ALPHABET_SIZE) for _ in range(3))
+        trip = bytes(rng.randrange(ALPHABET_SIZE) for _ in range(3))
         if forward_images(trip):
             assert not backward_images(trip)
 
@@ -295,6 +312,24 @@ def test_instance_json_rejects_bad_generator(tmp_path):
     doc["system"]["rules"] = "clock-v2"
     with pytest.raises(CompileError):
         CompiledInstance.from_json(doc)
+
+
+def test_strings_are_bytes_exactly_for_the_clock_system(tmp_path):
+    inst = compile_circuit(parse_circuit("qubits 2\nh 0\n---\nswap 0"), [0, 0])
+    path, again = tmp_path / "inst.json", tmp_path / "again.json"
+    inst.save(path)
+    loaded = CompiledInstance.load(path)
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
+    for one in (inst, loaded):
+        strings = (one.s, one.t, one.t_prime, *one.system.neighbors(one.t))
+        assert {type(s) for s in strings} == {bytes}
+    explicit = CompiledInstance.from_json({
+        "system": {"alphabet": ["a", "b"], "window": 1, "rules": [[["a"], ["b"]]]},
+        "s": ["a", "a"], "t": ["b", "b"], "t_prime": ["a", "b"], "m": 2,
+    })
+    strings = (explicit.s, explicit.t, explicit.t_prime, *explicit.system.neighbors(explicit.t))
+    assert {type(s) for s in strings} == {tuple}
 
 
 def test_explicit_rule_instance_loads():

@@ -19,6 +19,7 @@ from walkdelta.clock import (
     MARKED,
     PREDECESSORS,
     RULE_PAIRS,
+    SIGNAL_CELLS,
     SIGNALS,
     TRANSITIONS,
     TURN,
@@ -90,6 +91,11 @@ def test_every_rule_pair_holds_one_signal():
         assert len([p for p in pair if p in SIGNALS]) == 1, pair
 
 
+def test_signal_cells_are_the_cells_of_the_signals():
+    found = [m.start() for m in SIGNAL_CELLS.finditer(bytes(range(ALPHABET_SIZE)))]
+    assert found == [c for c in range(ALPHABET_SIZE) if split_cell(c)[0] in SIGNALS]
+
+
 @pytest.fixture(scope="module")
 def components():
     out = []
@@ -142,4 +148,4 @@ def test_filter_exact_on_mutated_strings(h_instance, base, edits):
         start = pos % (len(s) - len(cells) + 1)
         s[start : start + len(cells)] = cells
     space = WalkSpace(h_instance.system)
-    assert_filter_exact(h_instance.system, space, space.intern(tuple(s)))
+    assert_filter_exact(h_instance.system, space, space.intern(bytes(s)))
