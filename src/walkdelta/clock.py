@@ -643,7 +643,8 @@ class CompiledInstance:
         rewriting-system format, in which case the clock-specific fields
         take neutral defaults; a compiled instance's c and epsilon follow
         from its ell, whatever the file holds.  Malformed documents raise
-        CompileError, as does an m below 0, a d_parity not 0 or 1, an explicit
+        CompileError, as does an m or ell that is not an integer, an m below
+        0, a d_parity not 0 or 1, an explicit
         c or epsilon out of range, or, on a compiled instance, an m below
         ell - 1 or of the parity of ell: no gap instance has such a walk.
         """
@@ -660,7 +661,9 @@ class CompiledInstance:
             else:
                 raise CompileError("unknown rule generator in instance file")
             s, t, t_prime = (system.alphabet.encode(doc[key]) for key in ("s", "t", "t_prime"))
-            m, ell, d_parity = int(doc["m"]), int(doc.get("ell", 2)), doc.get("d_parity", 0)
+            m, ell, d_parity = doc["m"], doc.get("ell", 2), doc.get("d_parity", 0)
+            if type(m) is not int or type(ell) is not int:
+                raise CompileError(f"m = {m!r} and ell = {ell!r} must be integers")
             if rules == "clock-v1":  # the file's c and epsilon are only copies
                 s, t, t_prime = bytes(s), bytes(t), bytes(t_prime)
                 c, epsilon = growth_constants(ell)

@@ -109,15 +109,14 @@ def corner_entry(ell: int, m: int) -> tuple[int, float]:
     """(0, ell-1) entry of the m-th power of the path adjacency matrix.
 
     Returns the exact integer, the one entry of
-    ``path_column(ell, m, ell - 1)``, and scaled_corner times lambda_0^m,
-    +-inf past the float range.
+    ``path_column(ell, m, ell - 1)``, and that integer as a float, inf past
+    the float range.
     """
     exact = path_column(ell, m, ell - 1)[0]
-    total = scaled_corner(ell, m)
-    if total == 0.0:
-        return exact, 0.0
-    log_value = math.log(abs(total)) + m * math.log(eigenvalue(ell, 0))
-    return exact, math.copysign(_exp(log_value), total)
+    try:
+        return exact, float(exact)
+    except OverflowError:
+        return exact, math.inf
 
 
 def bounds(ell: int, m: int) -> tuple[float, float, bool]:

@@ -183,46 +183,42 @@ def _three_term(aw: dict[int, int], prev: dict[int, int]) -> dict[int, int]:
     return aw
 
 
-def _half_walks(
-    instance: CompiledInstance, max_n: int, space: WalkSpace | None
-) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
-    """The two half walks a_j = A^j e_s and b_k = A^k (e_t - e_t').
+def exact_deltas(
+    instance: CompiledInstance, max_n: int, space: WalkSpace | None = None
+) -> list[int]:
+    """Delta(n) = (A^n (e_t - e_t'))[s] for n = 0..max_n, from one walk of
+    e_t - e_t', in the given walk space (with the adjacency it already
+    holds) or a new one.
 
-    Yields the entries of a_ceil(n/2) and b_floor(n/2) for n = 0..max_n:
-    step n advances a when n is odd and b when n is even. A is symmetric,
-    so Delta(n) = <A^n e_s, e_t - e_t'> = <a_ceil(n/2), b_floor(n/2)>, the
-    same integer as the single walk of n steps from s, from entries of about
-    half its bit length and frontiers of about half its reach. Only
-    ``exact_deltas``, and so ``verify``, walks: it is the route independent
-    of the orbit that ``exact_delta`` uses.
+    A breadth-first search from s gives d(s, x) up to max_n, and after step
+    n the walk keeps only the entries at x with d(s, x) <= max_n - n. An
+    entry farther out cannot reach s in the max_n - n steps left (triangle
+    inequality), so every Delta(n) is exact, for every rewriting system.
+    Only ``verify`` walks: it is the route independent of the orbit that
+    ``exact_delta`` uses.
     """
     _check_walk(max_n, instance.s, instance.t, instance.t_prime)
     if space is None:
         space = WalkSpace(instance.system)
-    a = WalkVector.basis(space, instance.s)
-    b = WalkVector(space, _difference(space, instance))
-    yield a.entries, b.entries
-    for n in range(1, max_n + 1):
-        if n % 2:
-            a = step(instance.system, a)
-        else:
-            b = step(instance.system, b)
-        yield a.entries, b.entries
-
-
-def _dot(u: dict[int, int], v: dict[int, int]) -> int:
-    if len(u) > len(v):
-        u, v = v, u
-    return sum(c * v[sid] for sid, c in u.items() if sid in v)
-
-
-def exact_deltas(
-    instance: CompiledInstance, max_n: int, space: WalkSpace | None = None
-) -> list[int]:
-    """Delta(n) for n = 0..max_n, one inner product of the half walks per n,
-    in the given walk space (with the adjacency it already holds) or a new
-    one."""
-    return [_dot(a, b) for a, b in _half_walks(instance, max_n, space)]
+    sid = space.intern(instance.s)
+    dist, frontier = {sid: 0}, [sid]
+    for d in range(1, max_n + 1):
+        layer = []
+        for x in frontier:
+            for y in space.adjacency(x):
+                if y not in dist:
+                    dist[y] = d
+                    layer.append(y)
+        frontier = layer
+    b = _difference(space, instance)
+    deltas = []
+    for n in range(max_n + 1):
+        if n:
+            b = step(instance.system, WalkVector(space, b)).entries
+        reach = max_n - n
+        b = {x: c for x, c in b.items() if dist.get(x, reach + 1) <= reach}
+        deltas.append(b.get(sid, 0))
+    return deltas
 
 
 def orbit(instance: CompiledInstance, space: WalkSpace) -> Iterator[dict[int, int]]:

@@ -235,18 +235,22 @@ BAD_CONSTANTS = {
 # d is the parity of the dummy-Hadamard steps: 0 or 1, nothing else
 BAD_D_PARITY = {"d-parity-negative": -1, "d-parity-2": 2, "d-parity-fraction": 1.7}
 
+# m and ell are integers: neither truncated nor parsed from another type
+BAD_INTEGERS = {
+    "m-fraction": {"m": 274625.9},
+    "ell-fraction": {"ell": 64.9},
+    "m-string": {"m": "274625"},
+    "m-boolean": {"m": True},
+}
+
 
 def _clock_short(instance):
     doc = json.loads(instance.read_text())
     return {**doc, **{key: doc[key][:2] for key in ("s", "t", "t_prime")}}
 
 
-def _clock_with_m(m):
-    return lambda instance: {**json.loads(instance.read_text()), "m": m}
-
-
-def _clock_with_d_parity(d):
-    return lambda instance: {**json.loads(instance.read_text()), "d_parity": d}
+def _clock_with(**fields):
+    return lambda instance: {**json.loads(instance.read_text()), **fields}
 
 
 @pytest.mark.parametrize(
@@ -258,12 +262,13 @@ def _clock_with_d_parity(d):
         lambda instance: {**TOY, "system": {**TOY["system"], "rules": [1]}},
         _clock_short,
         lambda instance: {**TOY, "m": -1},
-        _clock_with_m(-1),
-        _clock_with_m(61),  # ell = 64: below ell - 1, of the right parity
-        _clock_with_m(64),  # of the parity of ell
+        _clock_with(m=-1),
+        _clock_with(m=61),  # ell = 64: below ell - 1, of the right parity
+        _clock_with(m=64),  # of the parity of ell
     ]
     + [lambda instance, bad=bad: {**TREE, **bad} for bad in BAD_CONSTANTS.values()]
-    + [_clock_with_d_parity(d) for d in BAD_D_PARITY.values()],
+    + [_clock_with(d_parity=d) for d in BAD_D_PARITY.values()]
+    + [_clock_with(**bad) for bad in BAD_INTEGERS.values()],
     ids=[
         "not-an-object",
         "non-numeric-m",
@@ -276,7 +281,8 @@ def _clock_with_d_parity(d):
         "clock-m-parity-of-ell",
     ]
     + list(BAD_CONSTANTS)
-    + [f"clock-{k}" for k in BAD_D_PARITY],
+    + [f"clock-{k}" for k in BAD_D_PARITY]
+    + [f"clock-{k}" for k in BAD_INTEGERS],
 )
 def test_malformed_instance_exit_2(workspace, tmp_path, capsys, document):
     _, circuit, instance = workspace
@@ -304,7 +310,8 @@ DOCUMENTS = {
     "clock-ell-2": lambda instance: {**json.loads(instance.read_text()), "ell": 2},
     "clock-c-100": lambda instance: {**json.loads(instance.read_text()), "c": 100.0},
     "clock-epsilon-0": lambda instance: {**json.loads(instance.read_text()), "epsilon": 0.0},
-    **{f"clock-{k}": _clock_with_d_parity(d) for k, d in BAD_D_PARITY.items()},
+    **{f"clock-{k}": _clock_with(d_parity=d) for k, d in BAD_D_PARITY.items()},
+    **{f"clock-{k}": _clock_with(**bad) for k, bad in BAD_INTEGERS.items()},
 }
 ARGUMENTS = {
     "delta": ["--steps", "3"],
@@ -325,7 +332,8 @@ def test_no_traceback(workspace, tmp_path, capsys, command, kind):
     assert code in {0, 1, 2, 3, 4}
     if code == 1:
         assert json.loads(captured.out)["passed"] in (False, None)
-    if kind.partition("-")[2] in BAD_CONSTANTS.keys() | BAD_D_PARITY.keys() or (command, kind) in {
+    bad_kinds = BAD_CONSTANTS.keys() | BAD_D_PARITY.keys() | BAD_INTEGERS.keys()
+    if kind.partition("-")[2] in bad_kinds or (command, kind) in {
         ("verify", "explicit-rules"),  # every check is clock-specific
         ("verify", "explicit-tree"),
     }:

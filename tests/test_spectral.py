@@ -43,8 +43,9 @@ def test_corner_entry_is_central_binomial_for_two_vertices():
 @given(st.integers(2, 30), st.integers(0, 60))
 @settings(max_examples=150, deadline=None)
 def test_corner_entry_dp_matches_spectral_sum(ell, m):
-    exact, approx = spectral.corner_entry(ell, m)
+    exact = spectral.corner_entry(ell, m)[0]
     scale = spectral.eigenvalue(ell, 0) ** m
+    approx = spectral.scaled_corner(ell, m) * scale
     if exact == 0:
         # cancellation leaves noise proportional to the largest term
         assert abs(approx) < 1e-10 * max(1.0, scale)
@@ -99,6 +100,13 @@ def test_corner_entry_past_float_range():
     exact, approx = spectral.corner_entry(64, 1101)
     assert exact == fresh_corner(64, 1101) > 0
     assert approx == math.inf
+
+
+@pytest.mark.parametrize("ell, m", [(64, 63), (252, 251), (1040, 1041)])
+def test_corner_float_is_the_exact_corner(ell, m):
+    # near m = ell the spectral sum cancels to noise of the wrong sign
+    exact, approx = spectral.corner_entry(ell, m)
+    assert approx == float(exact) > 0
 
 
 def test_weight_symmetry_and_mass():

@@ -153,7 +153,7 @@ def test_exact_delta_matches_exact_deltas(h_setup):
         ("qubits 2\nh 0\n---\nswap 0", [0, 0]),
     ],
 )
-def test_exact_delta_matches_half_walks_around_ell(text, x):
+def test_exact_delta_matches_exact_deltas_around_ell(text, x):
     inst = compile_circuit(parse_circuit(text), x)
     ell = inst.ell
     lengths = (0, 1, ell - 2, ell - 1, ell, ell + 1, 2 * ell + 1)
@@ -209,7 +209,7 @@ def test_exact_delta_cost_does_not_grow_with_n(h_setup, monkeypatch):
         ("qubits 3\ntoffoli 0", [0, 0, 0]),
     ],
 )
-def test_exact_delta_matches_half_walks_at_every_n(text, x):
+def test_exact_delta_matches_exact_deltas_at_every_n(text, x):
     # the light cone of every n up to 3 ell + 1, narrow and full width
     inst = compile_circuit(parse_circuit(text), x)
     max_n = 3 * inst.ell + 1
@@ -218,7 +218,7 @@ def test_exact_delta_matches_half_walks_at_every_n(text, x):
 
 
 @pytest.mark.slow
-def test_exact_delta_matches_half_walks_at_ell_1040():
+def test_exact_delta_matches_exact_deltas_at_ell_1040():
     text = "qubits 3\nh 0\n---\nh 1\n---\ntoffoli 0\n---\nh 2"
     inst = compile_circuit(parse_circuit(text), [0, 0, 0])
     assert inst.ell == 1040
@@ -245,14 +245,40 @@ def test_equal_endpoints_give_zero_deltas(h_setup):
     assert exact_deltas(toy, 8) == [0] * 9
 
 
-def test_half_walks_reach_half_as_far():
-    # the ell + 5 deltas from walks of about ell/2 steps: the single walk of
-    # ell + 5 steps from s interned 1,700 strings here
+@pytest.mark.parametrize("extra, interned", [(4, 1696), (5, 1700)])
+def test_exact_deltas_walk_stays_in_its_light_cone(monkeypatch, extra, interned):
+    # N steps, and before step n + 1 the walk holds only ids within N - n
+    # of s, the only ones that can still reach s. The graph is bipartite and
+    # d(s, t) has the parity of ell - 1, so only at N = ell + 4 does the walk
+    # reach ids at distance N - n + 1, which a cut one step too loose keeps
     inst = compile_circuit(parse_circuit("qubits 2\nh 0\n---\nswap 0"), [0, 0])
     assert inst.ell == 252
+    n_steps = inst.ell + extra
     space = WalkSpace(inst.system)
-    exact_deltas(inst, inst.ell + 5, space)
-    assert len(space) == 1192
+    inputs = []
+    original = verifier.step
+
+    def recorded(system, v):
+        inputs.append(set(v.entries))
+        return original(system, v)
+
+    monkeypatch.setattr(verifier, "step", recorded)
+    exact_deltas(inst, n_steps, space)
+    assert len(inputs) == n_steps
+    assert len(space) == interned
+
+    source = space.index[inst.s]
+    dist, frontier = {source: 0}, [source]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in space.adjacency(x):
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    for n, ids in enumerate(inputs):
+        assert ids and max(dist.get(x, math.inf) for x in ids) <= n_steps - n, n
 
 
 def test_verify_h_all_passed(h_setup):
