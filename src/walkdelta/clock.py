@@ -136,8 +136,10 @@ RULES = _transition_rules()
 TRANSITIONS = _group((p, (guard, q, move)) for p, guard, q, move in RULES)
 # the derived inverse: rewritten pair -> [(program pair, move)]
 PREDECESSORS = _group((q, (p, move)) for p, guard, q, move in RULES)
-# every program pair a rule reads, forward or backward
+# every program pair a rule reads, forward or backward, and as the pair code
+# (p0 << 4) | p1 that two cells give with (c0 & 0xF0) | (c1 >> 4)
 RULE_PAIRS = frozenset(TRANSITIONS) | frozenset(PREDECESSORS)
+RULE_CODES = frozenset((p0 << 4) | p1 for p0, p1 in RULE_PAIRS)
 # the program symbols of the control signal (the marked gates, HOLE, EXEC
 # and TURN), every pair in RULE_PAIRS holds exactly one, and their cells
 SIGNALS = range(MARK_I, BLANK)
@@ -158,7 +160,7 @@ def rule_windows(s: bytes) -> list[int]:
     for signal in SIGNAL_CELLS.finditer(s):
         i = signal.start()
         for j in (i - 2, i - 1):
-            if 0 <= j <= last and (s[j + 1] >> 4, s[j + 2] >> 4) in RULE_PAIRS:
+            if 0 <= j <= last and ((s[j + 1] & 0xF0) | (s[j + 2] >> 4)) in RULE_CODES:
                 out.append(j)
     return out
 
@@ -198,97 +200,97 @@ def execution_class(p0: int, p1: int, dm: int, d0: int, d1: int) -> int:
     return X_NONE
 
 
-def _tracks(cells: bytes) -> list[list[int]]:
-    """The program, data, aux and sim tracks of a window, one list each."""
+def _window(cells: bytes) -> bytes:
     if type(cells) is not bytes:  # the caches compare bytes: a tuple would miss
         raise TypeError(f"a window is 3 bytes, not {type(cells).__name__}")
-    return [list(track) for track in zip(*map(split_cell, cells))]
+    return cells
 
 
-def _carry(a: list[int], s: list[int], move: int) -> None:
-    """Move the carried aux/sim bits with the signal, in place.
+def _carry(c0: int, c1: int, c2: int, move: int) -> list[int]:
+    """The window with the carried aux/sim bits (the low two bits of a
+    cell) moved with the signal: those at window indices move and move + 1
+    swap (cells -1 and 0 for LEFT, 0 and 1 for RIGHT).
 
-    A swap of two adjacent cells, so it is its own inverse and undoes
-    itself in a backward step.
+    A swap, so it is its own inverse and undoes itself in a backward step.
     """
-    a[move], a[move + 1] = a[move + 1], a[move]
-    s[move], s[move + 1] = s[move + 1], s[move]
+    cells = [c0, c1, c2]
+    x, y = cells[move], cells[move + 1]
+    cells[move], cells[move + 1] = (x & 0xFC) | (y & 3), (y & 0xFC) | (x & 3)
+    return cells
+
+
+def _branches(
+    xc: int, d0: int, d1: int, d2: int, a1: int, s1: int
+) -> list[tuple[int, int, int, int]]:
+    """The execution phase of a window of class xc: the new d1, d2, a1 and
+    s1 of each Hadamard branch, ascending in the branched bit.  The digits
+    are window indices, so d1 and d2 are the data of cells 0 and 1.
+
+    Gate action plus one Hadamard branch: a real Hadamard branches the data
+    bit of cell 1, anything else branches the auxiliary bit of cell 0
+    (dummy Hadamard); the simulator bit of cell 0 flips exactly on the
+    1 -> 1 branch, standing in for the negative entry.  The relation is
+    symmetric (so is the Hadamard matrix, and Toffoli and swap are their
+    own inverses), and no branch changes the class, so the same call on an
+    image gives its predecessors.
+    """
+    if xc == X_HADAMARD:
+        return [(d1, bit, a1, s1 ^ (d2 == bit == D1)) for bit in (D0, D1)]
+    if xc == X_TOFFOLI and d0 == d1 == D1:
+        d2 ^= 1
+    elif xc == X_SWAP:
+        d1, d2 = d2, d1
+    return [(d1, d2, bit, s1 ^ (a1 == bit == 1)) for bit in (0, 1)]
 
 
 def _images(cells: bytes) -> tuple[bytes, ...]:
-    p, d, a, s = _tracks(cells)
-    match = transition_match(p[1], p[2], d[1], d[2])
+    c0, c1, c2 = _window(cells)
+    p1, p2, d0, d1, d2 = c1 >> 4, c2 >> 4, (c0 >> 2) & 3, (c1 >> 2) & 3, (c2 >> 2) & 3
+    match = transition_match(p1, p2, d1, d2)
     if match is None:  # most windows: return before building branches
         return ()
-    xc = execution_class(p[1], p[2], d[0], d[1], d[2])
+    xc = execution_class(p1, p2, d0, d1, d2)
     if xc == X_BOUNDARY:
         return ()
-
-    # execution phase: gate action plus one Hadamard branch; a real Hadamard
-    # branches the data bit of cell 1, anything else branches the auxiliary
-    # bit of cell 0 (dummy Hadamard); the simulator bit of cell 0 flips
-    # exactly on the 1 -> 1 branch, standing in for the negative entry
-    branches: list[tuple[list[int], list[int], list[int]]] = []
-    if xc == X_HADAMARD:
-        for new_bit in (0, 1):
-            nd = d.copy()
-            nd[2] = new_bit
-            ns = s.copy()
-            ns[1] ^= d[2] == D1 and new_bit == 1
-            branches.append((nd, a.copy(), ns))
-    else:
-        nd = d.copy()
-        if xc == X_TOFFOLI and d[0] == D1 and d[1] == D1:
-            nd[2] ^= 1
-        elif xc == X_SWAP:
-            nd[1], nd[2] = nd[2], nd[1]
-        for new_bit in (0, 1):
-            na = a.copy()
-            na[1] = new_bit
-            ns = s.copy()
-            ns[1] ^= a[1] == 1 and new_bit == 1
-            branches.append((nd, na, ns))
-
-    # transition phase: rewrite the program cells and move the carried
-    # aux/sim bits with the signal
+    # execution phase, then the transition phase: rewrite the program cells
+    # and move the carried aux/sim bits with the signal
     (q0, q1), move = match
-    out = []
-    for nd, na, ns in branches:
-        _carry(na, ns, move)
-        out.append(bytes(map(make_cell, (p[0], q0, q1), nd, na, ns)))
-    return tuple(out)
+    return tuple(
+        bytes(_carry(c0, make_cell(q0, e1, a1, s1), (q1 << 4) | (e2 << 2) | (c2 & 3), move))
+        for e1, e2, a1, s1 in _branches(xc, d0, d1, d2, (c1 >> 1) & 1, c1 & 1)
+    )
 
 
 forward_images = lru_cache(maxsize=None)(_images)
 
 
 def _backward_images(cells: bytes) -> tuple[bytes, ...]:
-    """All triples tau with cells in forward_images(tau).
+    """All triples tau with cells in forward_images(tau), in the order of
+    their rule in PREDECESSORS, then of the bit the Hadamard branched.
 
-    Candidate predecessors come from the inverse of the rule table and the
-    undone aux/sim carry.  The execution phase can only have changed d1, d2,
-    a1 and s1, and it never turns a qubit value into a formatting mark or
-    back, so only those settings are enumerated; each candidate is confirmed
-    by a forward check.
+    Each rule that writes the window's program pair is undone: the carry,
+    then the execution phase, by ``_branches`` on the uncarried window.
+    The execution phase changes no formatting mark, so the rule's guard and
+    the execution class read the same on a predecessor as on the window:
+    a rule is kept only if ``transition_match`` picks it there and no gate
+    annihilates.
     """
-    p, d, a, s = _tracks(cells)
-    preds = PREDECESSORS.get((p[1], p[2]))
+    c0, c1, c2 = _window(cells)
+    pair = (c1 >> 4, c2 >> 4)
+    preds = PREDECESSORS.get(pair)
     if preds is None:
         return ()
-    d1s, d2s = ((D0, D1) if x in BINARY else (x,) for x in d[1:])
+    d0, d1, d2 = (c0 >> 2) & 3, (c1 >> 2) & 3, (c2 >> 2) & 3
     out = []
     for (q0, q1), move in preds:
-        ua, us = a.copy(), s.copy()
-        _carry(ua, us, move)
-        left = make_cell(p[0], d[0], ua[0], us[0])
-        for d1c in d1s:
-            for d2c in d2s:
-                right = make_cell(q1, d2c, ua[2], us[2])
-                for a1c in (0, 1):
-                    for s1c in (0, 1):
-                        cand = bytes((left, make_cell(q0, d1c, a1c, s1c), right))
-                        if cells in forward_images(cand):
-                            out.append(cand)
+        if transition_match(q0, q1, d1, d2) != (pair, move):
+            continue
+        xc = execution_class(q0, q1, d0, d1, d2)
+        if xc == X_BOUNDARY:
+            continue
+        u0, u1, u2 = _carry(c0, c1, c2, move)
+        for e1, e2, a1, s1 in _branches(xc, d0, d1, d2, (u1 >> 1) & 1, u1 & 1):
+            out.append(bytes((u0, make_cell(q0, e1, a1, s1), (q1 << 4) | (e2 << 2) | (u2 & 3))))
     return tuple(out)
 
 
@@ -317,9 +319,13 @@ class ClockSystem:
         out: dict[bytes, int] = {}
         for j in rule_windows(s):
             triple = s[j : j + 3]
-            for img in forward_images(triple) + backward_images(triple):
-                t = s[:j] + img + s[j + 3 :]
-                out[t] = out.get(t, 0) + 1
+            # no window has both (scan_rules' bidirectional count is 0)
+            images = forward_images(triple) or backward_images(triple)
+            if images:
+                head, tail = s[:j], s[j + 3 :]
+                for img in images:
+                    t = head + img + tail
+                    out[t] = out.get(t, 0) + 1
         out.pop(s, None)
         return out
 
@@ -403,7 +409,7 @@ def scan_rules(spot_checks: int = 20000, seed: int = 0) -> ScanReport:
     for _ in range(spot_checks):
         trip = bytes(rng.randrange(ALPHABET_SIZE) for _ in range(3))
         imgs = _images(trip)
-        p, d, _, _ = _tracks(trip)
+        p, d, _, _ = zip(*map(split_cell, trip))
         if len(imgs) != _expected_images(p, d):
             raise CompileError(f"spot check mismatch at {trip}")
         for img in imgs:

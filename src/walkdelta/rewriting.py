@@ -144,11 +144,14 @@ class RewritingSystem:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RewritingSystem":
+        window = doc["window"]
+        if type(window) is not int:  # neither truncated nor parsed from another type
+            raise RewriteError(f"window = {window!r} must be an integer")
         alphabet = Alphabet(tuple(doc["alphabet"]))
         rules = [
             Rule(alphabet.encode(lhs), alphabet.encode(rhs)) for lhs, rhs in doc["rules"]
         ]
-        return cls(alphabet, int(doc["window"]), rules)
+        return cls(alphabet, window, rules)
 
 
 class WalkSpace:

@@ -243,6 +243,9 @@ BAD_INTEGERS = {
     "m-boolean": {"m": True},
 }
 
+# an explicit-rule window is an integer too
+BAD_WINDOWS = {"window-fraction": 2.9, "window-string": "2", "window-boolean": True}
+
 
 def _clock_short(instance):
     doc = json.loads(instance.read_text())
@@ -253,12 +256,16 @@ def _clock_with(**fields):
     return lambda instance: {**json.loads(instance.read_text()), **fields}
 
 
+def _toy_with_window(window):
+    return lambda instance: {**TOY, "system": {**TOY["system"], "window": window}}
+
+
 @pytest.mark.parametrize(
     "document",
     [
         lambda instance: [1, 2],
         lambda instance: {**TOY, "m": "abc"},
-        lambda instance: {**TOY, "system": {**TOY["system"], "window": "x"}},
+        _toy_with_window("x"),
         lambda instance: {**TOY, "system": {**TOY["system"], "rules": [1]}},
         _clock_short,
         lambda instance: {**TOY, "m": -1},
@@ -268,7 +275,8 @@ def _clock_with(**fields):
     ]
     + [lambda instance, bad=bad: {**TREE, **bad} for bad in BAD_CONSTANTS.values()]
     + [_clock_with(d_parity=d) for d in BAD_D_PARITY.values()]
-    + [_clock_with(**bad) for bad in BAD_INTEGERS.values()],
+    + [_clock_with(**bad) for bad in BAD_INTEGERS.values()]
+    + [_toy_with_window(w) for w in BAD_WINDOWS.values()],
     ids=[
         "not-an-object",
         "non-numeric-m",
@@ -282,7 +290,8 @@ def _clock_with(**fields):
     ]
     + list(BAD_CONSTANTS)
     + [f"clock-{k}" for k in BAD_D_PARITY]
-    + [f"clock-{k}" for k in BAD_INTEGERS],
+    + [f"clock-{k}" for k in BAD_INTEGERS]
+    + [f"explicit-{k}" for k in BAD_WINDOWS],
 )
 def test_malformed_instance_exit_2(workspace, tmp_path, capsys, document):
     _, circuit, instance = workspace
@@ -312,6 +321,7 @@ DOCUMENTS = {
     "clock-epsilon-0": lambda instance: {**json.loads(instance.read_text()), "epsilon": 0.0},
     **{f"clock-{k}": _clock_with(d_parity=d) for k, d in BAD_D_PARITY.items()},
     **{f"clock-{k}": _clock_with(**bad) for k, bad in BAD_INTEGERS.items()},
+    **{f"explicit-{k}": _toy_with_window(w) for k, w in BAD_WINDOWS.items()},
 }
 ARGUMENTS = {
     "delta": ["--steps", "3"],
@@ -332,7 +342,9 @@ def test_no_traceback(workspace, tmp_path, capsys, command, kind):
     assert code in {0, 1, 2, 3, 4}
     if code == 1:
         assert json.loads(captured.out)["passed"] in (False, None)
-    bad_kinds = BAD_CONSTANTS.keys() | BAD_D_PARITY.keys() | BAD_INTEGERS.keys()
+    bad_kinds = (
+        BAD_CONSTANTS.keys() | BAD_D_PARITY.keys() | BAD_INTEGERS.keys() | BAD_WINDOWS.keys()
+    )
     if kind.partition("-")[2] in bad_kinds or (command, kind) in {
         ("verify", "explicit-rules"),  # every check is clock-specific
         ("verify", "explicit-tree"),
@@ -488,12 +500,13 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("command", ["delta", "verify"])
-def test_commands_leave_numpy_unloaded(workspace, command):
+@pytest.mark.parametrize("command", ["compile", "delta", "verify"])
+def test_commands_leave_numpy_unloaded(workspace, tmp_path, command):
     # numpy is the estimator's alone: loading it costs every other command
     # about 90 ms of start-up
     _, circuit, instance = workspace
     argv = {
+        "compile": ["compile", "--circuit", str(circuit), "--input", "0", "-o", str(tmp_path / "i.json")],
         "delta": ["delta", "--instance", str(instance), "--steps", "63"],
         "verify": ["verify", "--instance", str(instance), "--circuit", str(circuit), "--input", "0"],
     }[command]

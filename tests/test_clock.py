@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walkdelta import clock
+from walkdelta import clock, verifier
 from walkdelta.circuits import parse_circuit
 from walkdelta.clock import (
     ALPHABET_SIZE,
@@ -22,6 +22,7 @@ from walkdelta.clock import (
     HOLE,
     LEFT,
     MARKED,
+    N_DATA,
     N_PROGRAM,
     PLAIN,
     PROGRAM_NAMES,
@@ -171,6 +172,73 @@ def test_forward_backward_inverse(trip):
         assert trip in backward_images(img)
     for pre in backward_images(trip):
         assert trip in forward_images(pre)
+
+
+def _backward_oracle(cells):
+    """The predecessors of a window by enumeration: every candidate from the
+    inverse rule table and the undone aux/sim carry, with each setting of
+    d1 and d2 (among the qubit values when the window holds one), a1 and s1,
+    kept when its forward images hold the window."""
+    images = forward_images.__wrapped__  # leaves the cache as it is
+    p, d, a, s = (list(track) for track in zip(*map(split_cell, cells)))
+    d1s, d2s = ((D0, D1) if x in (D0, D1) else (x,) for x in d[1:])
+    out = []
+    for (q0, q1), move in clock.PREDECESSORS.get((p[1], p[2]), ()):
+        ua, us = a.copy(), s.copy()
+        ua[move], ua[move + 1] = ua[move + 1], ua[move]
+        us[move], us[move + 1] = us[move + 1], us[move]
+        left = make_cell(p[0], d[0], ua[0], us[0])
+        for d1, d2, a1, s1 in itertools.product(d1s, d2s, (0, 1), (0, 1)):
+            cand = bytes((left, make_cell(q0, d1, a1, s1), make_cell(q1, d2, ua[2], us[2])))
+            if cells in images(cand):
+                out.append(cand)
+    return tuple(out)
+
+
+def test_backward_images_match_the_enumeration_oracle():
+    # every program triple whose pair a rule writes, every data triple, and
+    # two seeded aux/sim settings each; the uncached function, so that the
+    # cache does not keep 86k windows
+    backward = backward_images.__wrapped__
+    rng = random.Random(18)
+    windows = 0
+    for pair in clock.PREDECESSORS:
+        for p0 in range(N_PROGRAM):
+            for data in itertools.product(range(N_DATA), repeat=3):
+                for _ in range(2):
+                    aux, sim = ([rng.getrandbits(1) for _ in range(3)] for _ in range(2))
+                    window = bytes(map(make_cell, (p0, *pair), data, aux, sim))
+                    assert backward(window) == _backward_oracle(window), window
+                    windows += 1
+    assert windows == 48 * 14 * 64 * 2
+    for _ in range(20000):
+        window = bytes(rng.randrange(ALPHABET_SIZE) for _ in range(3))
+        assert backward(window) == _backward_oracle(window), window
+
+
+def test_cold_fill_asks_each_window_once(monkeypatch):
+    # from empty caches, a walk asks each window it meets forward once, and
+    # backward only when it has no forward images
+    inst = compile_circuit(parse_circuit("qubits 2\nh 0\n---\nswap 0"), [0, 0])
+    assert inst.ell == 252
+    windows, backward, seen = clock.rule_windows, clock.backward_images, set()
+
+    def recording(s):
+        found = windows(s)
+        seen.update(s[j : j + 3] for j in found)
+        return found
+
+    def backward_only(window):
+        assert not forward_images(window), window
+        return backward(window)
+
+    monkeypatch.setattr(clock, "rule_windows", recording)
+    monkeypatch.setattr(clock, "backward_images", backward_only)
+    forward_images.cache_clear()
+    backward.cache_clear()
+    verifier.exact_delta(inst, 253)
+    assert forward_images.cache_info().misses == len(seen) == 1122
+    assert backward.cache_info().misses == 562
 
 
 def test_a_tuple_window_never_gives_other_images():
