@@ -8,8 +8,8 @@ sparse: k Hadamards give at most 2^k amplitudes, whatever the width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 
 class CircuitError(Exception):
@@ -23,16 +23,34 @@ class SimulationTooLarge(CircuitError):
 MAX_AMPLITUDES = 4096
 
 
-@dataclass(frozen=True)
 class Root2Frac:
     """Exact number (a + b*sqrt(2)) / 2^e with integer a, b and e >= 0.
 
-    Canonical form: e == 0, or a and b are not both even.
+    Canonical form: e == 0, or a and b are not both even. Immutable, with
+    field-wise == and hash; a plain class, so a tuple's ordering and
+    repetition stay out of the number type.
     """
 
-    a: int
-    b: int
-    e: int
+    __slots__ = ("a", "b", "e")
+
+    def __init__(self, a: int, b: int, e: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "e", e)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.e) == (other.a, other.b, other.e)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.e))
 
     @staticmethod
     def make(a: int, b: int, e: int) -> "Root2Frac":
@@ -102,36 +120,35 @@ R2_INV_SQRT2 = Root2Frac(0, 1, 1)
 GATE_SPANS = {"h": 1, "swap": 2, "toffoli": 3}
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(namedtuple("Gate", "kind qubit")):
     """A gate anchored at its lowest qubit index.
 
     ``swap q`` exchanges qubits q and q+1; ``toffoli q`` has controls q and
     q+1 and target q+2.
     """
 
-    kind: str
-    qubit: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in GATE_SPANS:
-            raise CircuitError(f"unknown gate kind {self.kind!r}")
-        if self.qubit < 0:
-            raise CircuitError(f"negative qubit index {self.qubit}")
+    def __init__(self, kind: str, qubit: int):
+        if kind not in GATE_SPANS:
+            raise CircuitError(f"unknown gate kind {kind!r}")
+        if qubit < 0:
+            raise CircuitError(f"negative qubit index {qubit}")
 
     @property
     def span(self) -> range:
         return range(self.qubit, self.qubit + GATE_SPANS[self.kind])
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """Layered circuit; gates within one layer act on disjoint qubits."""
+class Circuit(namedtuple("Circuit", "n_qubits layers")):
+    """Layered circuit; gates within one layer act on disjoint qubits.
 
-    n_qubits: int
-    layers: tuple[tuple[Gate, ...], ...]
+    ``layers`` is a tuple of layers, each a tuple of gates.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __init__(self, n_qubits: int, layers: tuple[tuple[Gate, ...], ...]):
         validate(self)
 
 

@@ -225,10 +225,10 @@ def main(argv=None) -> int:
     if args.schema_version != SCHEMA:
         print(f"unsupported schema {args.schema_version!r}", file=sys.stderr)
         return EXIT_PARSE
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         inputs, outputs, passed, code = args.func(args)
-        _emit(args.command, inputs, outputs, passed, time.time() - t0)
+        _emit(args.command, inputs, outputs, passed, time.perf_counter() - t0)
         return code
     except (
         BudgetExceeded,

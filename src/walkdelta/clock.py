@@ -29,9 +29,9 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .circuits import Circuit, Gate, validate
 from .rewriting import Alphabet, RewritingSystem
@@ -337,16 +337,21 @@ class ClockSystem:
         }
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    """Structural properties of the full rule relation."""
+class ScanReport(
+    namedtuple(
+        "ScanReport",
+        "triples_total windows_matched directed_pairs max_images self_pairs bidirectional",
+    )
+):
+    """Structural properties of the full rule relation.
 
-    triples_total: int
-    windows_matched: int  # (program, data) window classes with images
-    directed_pairs: int  # count of (sigma, tau) with tau in forward(sigma)
-    max_images: int
-    self_pairs: int
-    bidirectional: int  # triples with forward and backward images both nonempty
+    ``windows_matched`` counts the (program, data) window classes with
+    images, ``directed_pairs`` the (sigma, tau) with tau in forward(sigma),
+    and ``bidirectional`` the triples with forward and backward images both
+    nonempty.
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -428,16 +433,16 @@ def scan_rules(spot_checks: int = 20000, seed: int = 0) -> ScanReport:
     )
 
 
-@dataclass(frozen=True)
-class Layout:
-    """Initial program and data bands for one compiled circuit."""
+class Layout(namedtuple("Layout", "block width program data register_start exec_pos")):
+    """Initial program and data bands for one compiled circuit.
 
-    block: int  # cells per block: one separator slot plus one per qubit
-    width: int  # number of program blocks
-    program: tuple[int, ...]
-    data: tuple[int, ...]
-    register_start: int  # index of the first qubit cell
-    exec_pos: int  # index of the initial execution marker
+    ``block`` is the cells per block (one separator slot plus one per
+    qubit), ``width`` the number of program blocks, ``program`` and ``data``
+    the two bands, ``register_start`` the index of the first qubit cell and
+    ``exec_pos`` that of the initial execution marker.
+    """
+
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -531,13 +536,12 @@ def layout(circuit: Circuit, x: Sequence[int]) -> Layout:
     )
 
 
-@dataclass(frozen=True)
-class ControlRun:
-    """Deterministic program-band trajectory of a layout."""
+class ControlRun(namedtuple("ControlRun", "ell configs d_parity")):
+    """Deterministic program-band trajectory of a layout: ``configs`` holds
+    the program bands, one per step, and ``d_parity`` the parity of the
+    number of dummy-Hadamard steps."""
 
-    ell: int
-    configs: tuple[tuple[int, ...], ...]  # program bands, one per step
-    d_parity: int  # parity of the number of dummy-Hadamard steps
+    __slots__ = ()
 
 
 def control_simulate(lay: Layout, max_steps: int = 1_000_000) -> ControlRun:
@@ -611,17 +615,46 @@ def growth_constants(ell: int) -> tuple[float, float]:
     return SQRT2 * spectral.eigenvalue(ell, 0), spectral.weight(ell, 0) / (3 * SQRT2)
 
 
-@dataclass
 class CompiledInstance:
-    system: ClockSystem | RewritingSystem
-    s: bytes | tuple[int, ...]  # bytes for a ClockSystem, one cell a byte
-    t: bytes | tuple[int, ...]
-    t_prime: bytes | tuple[int, ...]
-    m: int
-    ell: int
-    d_parity: int
-    c: float
-    epsilon: float
+    """A walk instance: a system, the endpoints s, t and t' (bytes for a
+    ClockSystem, one cell a byte; symbol tuples for explicit rules), the
+    walk length m, the clock length ell and its constants."""
+
+    __slots__ = ("system", "s", "t", "t_prime", "m", "ell", "d_parity", "c", "epsilon")
+
+    def __init__(
+        self,
+        system: ClockSystem | RewritingSystem,
+        s: bytes | tuple[int, ...],
+        t: bytes | tuple[int, ...],
+        t_prime: bytes | tuple[int, ...],
+        m: int,
+        ell: int,
+        d_parity: int,
+        c: float,
+        epsilon: float,
+    ):
+        self.system = system
+        self.s = s
+        self.t = t
+        self.t_prime = t_prime
+        self.m = m
+        self.ell = ell
+        self.d_parity = d_parity
+        self.c = c
+        self.epsilon = epsilon
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"CompiledInstance({fields})"
 
     @property
     def length(self) -> int:

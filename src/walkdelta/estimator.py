@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 
 import numpy as np
@@ -58,12 +58,11 @@ def build_states(instance: CompiledInstance):
     return plus, minus
 
 
-@dataclass(frozen=True)
-class SpectralMeasure:
-    """Point masses p_i at adjacency eigenvalues lam_i for one state."""
+class SpectralMeasure(namedtuple("SpectralMeasure", "eigenvalues probabilities")):
+    """Point masses p_i at adjacency eigenvalues lam_i for one state (two
+    arrays)."""
 
-    eigenvalues: np.ndarray
-    probabilities: np.ndarray
+    __slots__ = ()
 
 
 def reachable_component(
@@ -277,12 +276,10 @@ def bias_bound(eta: float, theta: float, m: int, c: float) -> float:
     return eta * m / c + 2.0 * theta
 
 
-@dataclass(frozen=True)
-class NoisyEstimate:
-    value: float  # Delta(m) / c^m estimate
-    bias_bound: float
-    halfwidth: float
-    samples: int
+class NoisyEstimate(namedtuple("NoisyEstimate", "value bias_bound halfwidth samples")):
+    """A Delta(m) / c^m estimate with its bias bound and sampling halfwidth."""
+
+    __slots__ = ()
 
     @property
     def error_bound(self) -> float:

@@ -9,8 +9,8 @@ walks in that graph exactly, in arbitrary-precision integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 
 class RewriteError(Exception):
@@ -21,16 +21,15 @@ class BudgetExceeded(RewriteError):
     """A configured enumeration or vertex budget was exhausted."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Ordered collection of distinct symbol names."""
+class Alphabet(namedtuple("Alphabet", "tokens")):
+    """Ordered collection of distinct symbol names (a tuple of str)."""
 
-    tokens: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.tokens) < 1:
+    def __init__(self, tokens: tuple[str, ...]):
+        if len(tokens) < 1:
             raise RewriteError("alphabet must contain at least one token")
-        if len(set(self.tokens)) != len(self.tokens):
+        if len(set(tokens)) != len(tokens):
             raise RewriteError("alphabet tokens must be distinct")
 
     def __len__(self):
@@ -47,20 +46,18 @@ class Alphabet:
         return tuple(self.tokens[i] for i in symbols)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(namedtuple("Rule", "lhs rhs")):
     """One direction of a substring replacement; equal lengths, no self-loop."""
 
-    lhs: tuple[int, ...]
-    rhs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.lhs) != len(self.rhs):
-            raise RewriteError(f"rule sides differ in length: {self.lhs} / {self.rhs}")
-        if len(self.lhs) < 1:
+    def __init__(self, lhs: tuple[int, ...], rhs: tuple[int, ...]):
+        if len(lhs) != len(rhs):
+            raise RewriteError(f"rule sides differ in length: {lhs} / {rhs}")
+        if len(lhs) < 1:
             raise RewriteError("empty rule")
-        if self.lhs == self.rhs:
-            raise RewriteError(f"self-loop rule rejected: {self.lhs}")
+        if lhs == rhs:
+            raise RewriteError(f"self-loop rule rejected: {lhs}")
 
     def reversed(self) -> "Rule":
         return Rule(self.rhs, self.lhs)
@@ -211,7 +208,6 @@ class WalkSpace:
         return len(self.strings)
 
 
-@dataclass
 class WalkVector:
     """A^n times an integer start vector, on the strings seen so far.
 
@@ -220,8 +216,19 @@ class WalkVector:
     zero entries are never stored.
     """
 
-    space: WalkSpace
-    entries: dict[int, int]
+    __slots__ = ("space", "entries")
+
+    def __init__(self, space: WalkSpace, entries: dict[int, int]):
+        self.space = space
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.entries) == (other.space, other.entries)
+
+    def __repr__(self):
+        return f"WalkVector(space={self.space!r}, entries={self.entries!r})"
 
     @classmethod
     def basis(cls, space: WalkSpace, s: Sequence[int]) -> "WalkVector":

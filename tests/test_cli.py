@@ -144,6 +144,29 @@ def test_verify_golden(workspace, capsys):
     assert doc["outputs"]["sigma"] == -1
 
 
+@pytest.mark.parametrize("tamper", ["swap-t-t-prime", "input-1"])
+def test_verify_refuses_a_reversed_sign(workspace, tmp_path, capsys, tamper):
+    # the sign convention is fixed at -1: swapping t and t' flips every
+    # delta, and input 1 flips the amplitude; either fits only sigma = +1
+    _, circuit, instance = workspace
+    path, bits = instance, "1"
+    if tamper == "swap-t-t-prime":
+        doc = json.loads(instance.read_text())
+        doc["t"], doc["t_prime"] = doc["t_prime"], doc["t"]
+        path, bits = tmp_path / "swapped.json", "0"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, ["delta", "--instance", str(path), "--steps", "65"])
+        assert (code, out["outputs"]["sign"]) == (0, 1)
+    argv = ["verify", "--instance", str(path), "--circuit", str(circuit), "--input", bits]
+    code, out = run(capsys, argv)
+    assert code == 1
+    assert out["passed"] is False
+    assert out["outputs"]["sigma"] is None
+    checks = {c["name"]: c["passed"] for c in out["outputs"]["checks"]}
+    assert checks["master_identity"] is False
+    assert checks["sign_decision"] is False
+
+
 def test_verify_too_many_amplitudes_exit_3(workspace, tmp_path, capsys):
     _, _, instance = workspace
     circuit = tmp_path / "h13.txt"
@@ -500,24 +523,42 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def _command_argv(workspace, tmp_path, command) -> list[str]:
+    _, circuit, instance = workspace
+    return {
+        "compile": ["compile", "--circuit", str(circuit), "--input", "0", "-o", str(tmp_path / "i.json")],
+        "delta": ["delta", "--instance", str(instance), "--steps", "63"],
+        "verify": ["verify", "--instance", str(instance), "--circuit", str(circuit), "--input", "0"],
+        "spectral": ["spectral", "--ell", "64", "--m", "63"],
+    }[command]
+
+
+def _run_command_then(argv, check, *flags):
+    """Run cli.main(argv) in a fresh interpreter, then the assertion ``check``."""
+    src = os.path.dirname(os.path.dirname(walkdelta.__file__))
+    code = "import sys; from walkdelta import cli; cli.main(%r); %s" % (argv, check)
+    env = {**os.environ, "PYTHONPATH": src}
+    cmd = [sys.executable, *flags, "-c", code]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("command", ["compile", "delta", "verify"])
 def test_commands_leave_numpy_unloaded(workspace, tmp_path, command):
     # numpy is the estimator's alone: loading it costs every other command
     # about 90 ms of start-up
-    _, circuit, instance = workspace
-    argv = {
-        "compile": ["compile", "--circuit", str(circuit), "--input", "0", "-o", str(tmp_path / "i.json")],
-        "delta": ["delta", "--instance", str(instance), "--steps", "63"],
-        "verify": ["verify", "--instance", str(instance), "--circuit", str(circuit), "--input", "0"],
-    }[command]
-    src = os.path.dirname(os.path.dirname(walkdelta.__file__))
-    code = (
-        "import sys; from walkdelta import cli; cli.main(%r); "
-        "assert 'numpy' not in sys.modules, 'numpy loaded'" % argv
-    )
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    argv = _command_argv(workspace, tmp_path, command)
+    _run_command_then(argv, "assert 'numpy' not in sys.modules, 'numpy loaded'")
+
+
+@pytest.mark.parametrize("command", ["compile", "delta", "verify", "spectral"])
+def test_commands_leave_dataclasses_inspect_and_typing_unloaded(workspace, tmp_path, command):
+    # importing dataclasses (which loads inspect, ast, dis and tokenize) and
+    # generating its classes cost each process about 20 ms of start-up; -S
+    # keeps site's .pth files, which may import typing themselves, out
+    argv = _command_argv(workspace, tmp_path, command)
+    check = "bad = {'dataclasses', 'inspect', 'typing'} & set(sys.modules); assert not bad, bad"
+    _run_command_then(argv, check, "-S")
 
 
 def test_estimate_takes_no_dense_eigh(workspace, capsys, monkeypatch):

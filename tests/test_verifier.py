@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from collections import Counter
@@ -9,7 +8,7 @@ import pytest
 
 from walkdelta import verifier
 from walkdelta.circuits import R2_INV_SQRT2, R2_ONE, R2_SQRT2, R2_ZERO, Root2Frac, parse_circuit
-from walkdelta.clock import ClockSystem, compile_circuit, forward_images
+from walkdelta.clock import ClockSystem, CompiledInstance, compile_circuit, forward_images
 from walkdelta.rewriting import (
     Alphabet,
     RewriteError,
@@ -238,7 +237,10 @@ def test_verify_passes_every_check_at_ell_1040():
 def test_equal_endpoints_give_zero_deltas(h_setup):
     # d = e_t - e_t' is the zero vector, not e_t with the wrong sign
     _, _, inst = h_setup
-    same = dataclasses.replace(inst, t_prime=inst.t)
+    same = CompiledInstance(
+        inst.system, inst.s, inst.t, inst.t,
+        inst.m, inst.ell, inst.d_parity, inst.c, inst.epsilon,
+    )
     assert exact_deltas(same, inst.ell + 5) == [0] * (inst.ell + 6)
     assert exact_delta(same, inst.ell + 1) == 0
     toy = SimpleNamespace(system=four_cycle_system(), s=(0, 0), t=(1, 1), t_prime=(1, 1))
@@ -357,12 +359,33 @@ def test_report_all_passed_logic():
 
 def test_master_identity_detects_tampering(h_setup):
     circuit, x, inst = h_setup
-    # swapping t and t_prime flips the sign of every delta, so the global
-    # sigma flips; the identity still holds but sign_decision must notice
-    swapped = dataclasses.replace(inst, t=inst.t_prime, t_prime=inst.t)
-    report = VerificationReport()
-    verifier.end_to_end(swapped, circuit, x, report)
-    assert report.sigma == 1
+    # swapping t and t_prime flips the sign of every delta: the identity
+    # holds only with sigma = +1, against the fixed convention sigma = -1
+    swapped = CompiledInstance(
+        inst.system, inst.s, inst.t_prime, inst.t,
+        inst.m, inst.ell, inst.d_parity, inst.c, inst.epsilon,
+    )
+    report = verify(swapped, circuit, x)
+    checks = {c.name: c for c in report.checks}
+    identity, sign = checks["master_identity"], checks["sign_decision"]
+    assert identity.passed is False
+    assert identity.details["sigma"] == [1]
+    assert identity.details["failed_at"] == (inst.ell - 1, exact_delta(swapped, inst.ell - 1))
+    assert sign.passed is False
+    assert (sign.details["got"], sign.details["want"]) == (1, -1)
+    assert report.sigma is None
+    assert not report.all_passed
+
+
+def test_sign_decision_is_not_fitted_to_the_input(h_setup):
+    # <1|H|1> = -<0|H|0>: the deltas of the x = 0 instance fit only sigma =
+    # +1 against input 1, so both checks fail
+    circuit, _, inst = h_setup
+    report = verify(inst, circuit, [1])
+    checks = {c.name: c.passed for c in report.checks}
+    assert checks["master_identity"] is False
+    assert checks["sign_decision"] is False
+    assert report.sigma is None
 
 
 def test_exact_deltas_reuses_given_space(h_setup):
