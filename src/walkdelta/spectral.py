@@ -3,8 +3,8 @@
 The compiled instances behave like a weighted path graph; everything needed
 about it is closed-form: eigenvalues 2cos(pi(j+1)/(ell+1)), sine
 eigenvectors, the corner weights w_j, and the resulting bounds on corner
-entries of powers.  An exact integer recurrence serves as ground truth for
-the spectral formulas.
+entries of powers.  Exact integer walk counts, by the reflection principle,
+serve as ground truth for the spectral formulas.
 """
 
 from __future__ import annotations
@@ -78,13 +78,21 @@ def path_column(k: int, n: int, low: int = 0) -> tuple[int, ...]:
     """Entries low..k-1 of P^n e_0, for the adjacency matrix P of the
     k-vertex path.
 
-    Entry j is the exact number of n-step walks from vertex 0 to vertex j,
-    by the recurrence v'_j = v_{j-1} + v_{j+1}, run only inside its light
-    cone: after i steps it keeps the entries j with
-    max(0, low - (n - i)) <= j <= min(i, k - 1). Those past i are zero, and
-    those below the lower end cannot reach low in the n - i steps left. So
-    a step adds at most min(n - low + 1, k) entries, and the corner entry
-    low = k - 1 costs O(n·(n - k + 2)).
+    Entry j is the exact number of n-step walks from vertex 0 to vertex j:
+    the +-1 walks on the integers that never touch the barriers -1 and k.
+    By the reflection principle (method of images, period 2(k + 1)),
+
+        P^n[j, 0] = sum_i C(n, (n + j)/2 + i(k + 1))
+                          - C(n, (n - 2 - j)/2 + i(k + 1)).
+
+    So one row of binomials gives the whole column. A walk with r down
+    steps ends at d = n - 2r, so C(n, r) adds to the entry j = d and
+    subtracts from j = -2 - d, both mod 2(k + 1), where they fall in
+    [low, k); at most one of them does. The row is streamed for r <= n/2,
+    each C(n, r) from the last by one multiplication and one exact division
+    by a small int, and C(n, n - r) = C(n, r) serves the mirror d -> -d.
+    That is O(n) big-int steps on integers of at most n bits, whatever k
+    and low are.
     """
     _check(k)
     if n < 0:
@@ -93,24 +101,30 @@ def path_column(k: int, n: int, low: int = 0) -> tuple[int, ...]:
         raise SpectralError(f"entry {low} out of range for k = {k}")
     if low > n:
         return (0,) * (k - low)
-    lo, v = 0, [1]  # v holds the entries lo, lo + 1, ... of the column
-    for i in range(1, n + 1):
-        new_lo, hi = max(0, low - (n - i)), min(i, k - 1)
-        # pad[x] is entry lo - 1 + x; the entry below 0 and those past the
-        # last step's end are zero
-        pad = [0, *v, 0, 0]
-        a, b = new_lo - lo, hi - lo + 1
-        v = [x + y for x, y in zip(pad[a:b], pad[a + 2 : b + 2])]
-        lo = new_lo
-    return (*v, *(0,) * (k - low - len(v)))
+    period = 2 * (k + 1)
+    column = [0] * (k - low)
+    c = 1
+    for r in range(n // 2 + 1):
+        if r:
+            c = c * (n - r + 1) // r
+        d = n - 2 * r
+        for e in (d, -d) if d else (0,):
+            j = e % period
+            if low <= j < k:
+                column[j - low] += c
+                continue
+            j = (-2 - e) % period
+            if low <= j < k:
+                column[j - low] -= c
+    return tuple(column)
 
 
 def corner_entry(ell: int, m: int) -> tuple[int, float]:
     """(0, ell-1) entry of the m-th power of the path adjacency matrix.
 
     Returns the exact integer, the one entry of
-    ``path_column(ell, m, ell - 1)``, and that integer as a float, inf past
-    the float range.
+    ``path_column(ell, m, ell - 1)``, from m/2 steps of a binomial row, and
+    that integer as a float, inf past the float range.
     """
     exact = path_column(ell, m, ell - 1)[0]
     try:

@@ -262,7 +262,7 @@ def orbit(instance: CompiledInstance, space: WalkSpace) -> Iterator[dict[int, in
 
 
 def exact_delta(instance: CompiledInstance, n: int) -> int:
-    """Delta(n) alone, from the orbit of e_t - e_t' and the path recurrence.
+    """Delta(n) alone, from the orbit of e_t - e_t' and path walk counts.
 
     The orbit is taken until it stops at k vectors or n + 1 exist, keeping
     only sigma_j = w_j[s]. By construction A w_j = w_{j+1} + 2 w_{j-1}, so
@@ -271,10 +271,11 @@ def exact_delta(instance: CompiledInstance, n: int) -> int:
     n steps from vertex 0 never reaches a vertex past n. Hence
     Delta(n) = sum over j = n mod 2 of 2^((n-j)/2) P^n[j,0] sigma_j, for every
     rewriting system. The column is taken from the lowest such j with
-    sigma_j != 0 up, inside its light cone. On a compiled instance the orbit
-    stops at k = ell, and on every ladder rung only sigma_(ell-1) is
-    nonzero, so the cost is ell walk steps over the orbit's support plus
-    O(n·min(n - ell + 2, ell)) additions, whatever n is.
+    sigma_j != 0 up, from one row of binomials (``spectral.path_column``).
+    On a compiled instance the orbit stops at k = ell, and on every ladder
+    rung only sigma_(ell-1) is nonzero, so the cost is ell walk steps over
+    the orbit's support, whatever n is, plus n/2 big-int steps on integers
+    of at most n bits.
     """
     _check_walk(n, instance.s, instance.t, instance.t_prime)
     space = WalkSpace(instance.system)

@@ -65,7 +65,7 @@ def fresh_corner(ell, m):
 
 
 def test_path_column_resumes_and_ends_in_corner_entry():
-    # the one path recurrence: corner_entry is the column's last entry
+    # corner_entry is the last entry of the column
     for k, n in ((5, 4), (5, 9), (5, 2), (2, 7), (9, 0), (9, 20)):
         assert list(spectral.path_column(k, n)) == fresh_column(k, n), (k, n)
         assert spectral.corner_entry(k, n)[0] == fresh_column(k, n)[k - 1]
@@ -76,7 +76,7 @@ def test_path_column_resumes_and_ends_in_corner_entry():
 
 
 def test_path_column_light_cone_matches_full_column():
-    # entries low..k-1 from the cone equal the full recurrence's, for every low
+    # entries low..k-1 equal the full recurrence's, for every low
     for k in range(2, 10):
         for n in range(31):
             column = fresh_column(k, n)
@@ -85,6 +85,16 @@ def test_path_column_light_cone_matches_full_column():
     for low in (-1, 4):
         with pytest.raises(spectral.SpectralError):
             spectral.path_column(4, 3, low)
+
+
+def test_path_column_matches_recurrence_past_many_reflections():
+    # n >> k: the images of 0 wrap around the period 2(k + 1) many times
+    for k in range(2, 13):
+        for n in range(301):
+            column = fresh_column(k, n)
+            for low in range(k):
+                assert spectral.path_column(k, n, low) == tuple(column[low:]), (k, n, low)
+    assert spectral.corner_entry(64, 16385)[0] == fresh_corner(64, 16385)
 
 
 def test_corner_entry_resumes_in_any_order():

@@ -6,8 +6,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from walkdelta import verifier
-from walkdelta.circuits import R2_INV_SQRT2, R2_ONE, R2_SQRT2, R2_ZERO, Root2Frac, parse_circuit
+from walkdelta import spectral, verifier
+from walkdelta.circuits import (
+    R2_INV_SQRT2,
+    R2_ONE,
+    R2_SQRT2,
+    R2_ZERO,
+    Root2Frac,
+    overlap,
+    parse_circuit,
+)
 from walkdelta.clock import ClockSystem, CompiledInstance, compile_circuit, forward_images
 from walkdelta.rewriting import (
     Alphabet,
@@ -209,7 +217,7 @@ def test_exact_delta_cost_does_not_grow_with_n(h_setup, monkeypatch):
     ],
 )
 def test_exact_delta_matches_exact_deltas_at_every_n(text, x):
-    # the light cone of every n up to 3 ell + 1, narrow and full width
+    # every n up to 3 ell + 1, past one reflection of the path column
     inst = compile_circuit(parse_circuit(text), x)
     max_n = 3 * inst.ell + 1
     deltas = exact_deltas(inst, max_n)
@@ -222,6 +230,22 @@ def test_exact_delta_matches_exact_deltas_at_ell_1040():
     inst = compile_circuit(parse_circuit(text), [0, 0, 0])
     assert inst.ell == 1040
     assert exact_delta(inst, 1041) == exact_deltas(inst, 1041)[1041] != 0
+
+
+@pytest.mark.slow
+def test_exact_delta_at_the_paper_m_matches_the_ratio_form():
+    # the exact integer against the float identity at m = (ell + 1)^3 on
+    # ell 64: Delta(m) = -ov c^m scaled_corner(ell, m) / sqrt(1 + d)
+    circuit = parse_circuit("qubits 1\nh 0")
+    inst = compile_circuit(circuit, [0])
+    assert (inst.ell, inst.m) == (64, 274_625)
+    delta = exact_delta(inst, inst.m)
+    ov = overlap(circuit, [0])
+    assert (delta > 0) - (delta < 0) == -ov.sign()
+    scaled = abs(ov.to_float()) * abs(spectral.scaled_corner(64, inst.m))
+    want = math.log(scaled / math.sqrt(1 + inst.d_parity))
+    assert want == pytest.approx(math.log(1.0157e-4), abs=1e-4)
+    assert math.log(abs(delta)) - inst.m * math.log(inst.c) == pytest.approx(want, abs=1e-6)
 
 
 @pytest.mark.slow
