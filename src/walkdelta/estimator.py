@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .clock import CompiledInstance
-from .verifier import ReachableGraph, orbit
+from .verifier import ReachableGraph, orbit, orthonormal
 
 MAX_DENSE_VERTICES = 4000
 
@@ -174,48 +174,40 @@ def orbit_measures(
     """The spectral measures of psi+- = (e_s +- u_0) / sqrt(2), without the
     eigendecomposition of the component, and the number of Gauss nodes.
 
-    The orbit w_j of e_t - e_t' on the component gives u_j = w_j /
-    sqrt(2)^(j+1). Its supports must be disjoint and |w_j|^2 = 2^(j+1): the
-    u_j are then orthonormal, and the orbit stops inside the finite
-    component. By the recurrence A u_j = sqrt(2) (u_(j-1) + u_(j+1)), so
-    their span W and its complement are A-invariant, and A acts on W as
-    sqrt(2) times the adjacency P of the k-vertex path. With
-    a_j = <s|u_j> and r = e_s - sum_j a_j u_j in the complement,
-    psi+- = (sum_j a_j u_j +- u_0 + r) / sqrt(2), so each measure is the
-    closed-form part on W, mass ((q_i . a) +- q_i[0])^2 / 2 at the i-th
-    node sqrt(2) lambda_i(P) for the sine eigenvectors q_i of P, plus half
-    the measure of r, the same for both, from its Gauss rule. Both measures
-    share one eigenvalue array and the remainder's weights, so their
-    difference has no remainder term.
+    The orbit w_j of e_t - e_t' (``verifier.orbit``, keyed by string) gives
+    u_j = w_j / sqrt(2)^(j+1). Its supports must be disjoint and |w_j|^2 =
+    2^(j+1) (``verifier.orthonormal``): the u_j are then orthonormal, and
+    the orbit stops inside the finite component, after ell neighbour
+    generations on a compiled instance. By the recurrence A u_j = sqrt(2)
+    (u_(j-1) + u_(j+1)), so their span W and its complement are
+    A-invariant, and A acts on W as sqrt(2) times the adjacency P of the
+    k-vertex path. With a_j = <s|u_j> and r = e_s - sum_j a_j u_j in the
+    complement, psi+- = (sum_j a_j u_j +- u_0 + r) / sqrt(2), so each
+    measure is the closed-form part on W, mass ((q_i . a) +- q_i[0])^2 / 2
+    at the i-th node sqrt(2) lambda_i(P) for the sine eigenvectors q_i of
+    P, plus half the measure of r, the same for both, from its Gauss rule.
+    Both measures share one eigenvalue array and the remainder's weights,
+    so their difference has no remainder term.
     """
     _check_endpoints(instance)
-    s = graph.index[instance.s]
-    seen: set[int] = set()
     # (j, w_j) for the one support that holds s, if any: the supports being
     # disjoint, a_j is zero for every other j
     k, hit = 0, None
-    for j, w in enumerate(orbit(instance, graph)):
-        norm2 = sum(c * c for c in w.values())
-        if not seen.isdisjoint(w) or norm2 != 1 << (j + 1):
-            raise EstimateError(
-                f"orbit of e_t - e_t' is not orthonormal at w_{j}: its support meets an "
-                f"earlier one or |w_{j}|^2 = {norm2} is not 2^{j + 1}"
-            )
-        seen.update(w)
-        if s in w:
+    for j, w in enumerate(orthonormal(orbit(instance), EstimateError)):
+        if instance.s in w:
             hit = (j, w)
         k = j + 1
 
     first = _path_eigvec_entries(k, 0)
     proj = np.zeros(k)  # q_i . a for every i
     remainder = np.zeros(len(graph))
-    remainder[s] = 1.0
+    remainder[graph.index[instance.s]] = 1.0
     if hit is not None:
         j, w = hit
-        a = _unit_entry(w[s], j)
+        a = _unit_entry(w[instance.s], j)
         proj = a * _path_eigvec_entries(k, j)
-        for sid, c in w.items():
-            remainder[sid] -= a * _unit_entry(c, j)
+        for x, c in w.items():
+            remainder[graph.index[x]] -= a * _unit_entry(c, j)
     nodes, weights = gauss_rule(_adjacency_operator(graph), remainder)
     eigenvalues = np.concatenate([_path_spectrum(k), nodes])
     half = weights / 2

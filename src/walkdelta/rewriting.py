@@ -154,15 +154,16 @@ class RewritingSystem:
 class WalkSpace:
     """String interning plus a per-vertex adjacency cache.
 
-    The package's one interned graph; ``verifier.ReachableGraph`` expands it
-    to a whole component. Walk frontiers revisit the same strings every
-    step; interning keys all maps by small integers and the adjacency of
-    each vertex is generated once, on first use. ``strings[i]`` is the
-    string of id i, in the system's form (symbol tuples, or bytes for the
-    clock system), ``index`` maps it back, and ``adj[i]`` holds the sorted
-    neighbor ids of i, or None until first asked for. ``multiple`` holds the
-    ids whose generated adjacency had a neighbor derivable in more than one
-    way; the 0/1 adjacency counts such an edge once.
+    For walks that revisit the same strings every step, as ``exact_deltas``
+    does (``verifier.orbit`` never does, and keys its vectors by string);
+    ``verifier.ReachableGraph`` expands it to a whole component. Interning
+    keys all maps by small integers and the adjacency of each vertex is
+    generated once, on first use. ``strings[i]`` is the string of id i, in
+    the system's form (symbol tuples, or bytes for the clock system),
+    ``index`` maps it back, and ``adj[i]`` holds the sorted neighbor ids of
+    i, or None until first asked for. ``multiple`` holds the ids whose
+    generated adjacency had a neighbor derivable in more than one way; the
+    0/1 adjacency counts such an edge once.
     """
 
     def __init__(self, system):

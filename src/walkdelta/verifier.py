@@ -9,7 +9,7 @@ sign decision is correct, and the gap/growth promises hold.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import islice
 
 from . import spectral
@@ -121,18 +121,12 @@ def _forward_step(space: WalkSpace, w: dict[int, int]) -> tuple[dict[int, int], 
         active_windows = 0
         for j in rule_windows(s):
             imgs = forward_images(s[j : j + 3])
-            if imgs:
-                active_windows += 1
-                for img in imgs:
-                    t = space.intern(s[:j] + img + s[j + 3 :])
-                    cur = out.get(t, 0) + coef
-                    if cur:
-                        out[t] = cur
-                    else:
-                        out.pop(t, None)
-        if active_windows > 1:
-            unique = False
-    return out, unique
+            active_windows += bool(imgs)
+            for img in imgs:
+                t = space.intern(s[:j] + img + s[j + 3 :])
+                out[t] = out.get(t, 0) + coef
+        unique = unique and active_windows <= 1
+    return {t: c for t, c in out.items() if c}, unique
 
 
 def orbit_check(
@@ -160,7 +154,7 @@ def orbit_check(
                 bad.append((label, j))
     report.add("no_backward_step_from_start", not bad, offending=bad)
 
-    w = [_difference(space, instance)]
+    w = [{space.intern(x): c for x, c in _difference(instance).items()}]
     unique_all = True
     for i in range(ell - 1):
         nxt, unique = _forward_step(space, w[-1])
@@ -174,39 +168,51 @@ def orbit_check(
     terminal, _ = _forward_step(space, w[-1])
     report.add("orbit_terminates", not terminal, extra_support=len(terminal))
 
-    support = set().union(*w)
-    disjoint = len(support) == sum(map(len, w))
-    ortho_ok = disjoint and all(
-        sum(c * c for c in wj.values()) == 1 << (j + 1) for j, wj in enumerate(w)
-    )
+    ortho_ok = True
+    try:
+        for _ in orthonormal(w, VerifyError):
+            pass
+    except VerifyError:
+        ortho_ok = False
     report.add("orbit_orthonormal", ortho_ok)
 
     mismatch = None
     for j, wj in enumerate(w):
-        got = _three_term(space.multiply(wj), w[j - 1] if j else {})
+        got = _three_term(wj, w[j - 1] if j else {}, space.adjacency)
         if mismatch is None and got != (w[j + 1] if j + 1 < len(w) else {}):
             mismatch = j
     report.add("restricted_hamiltonian_is_path", mismatch is None, mismatch=mismatch)
-    report.add("orbit_edges_single_derivation", space.multiple.isdisjoint(support))
+    report.add("orbit_edges_single_derivation", space.multiple.isdisjoint(set().union(*w)))
 
 
-def _difference(space: WalkSpace, instance: CompiledInstance) -> dict[int, int]:
-    """e_t - e_t' by accumulation, so that t = t' gives the zero vector."""
-    d = {space.intern(instance.t): 1}
-    tpid = space.intern(instance.t_prime)
-    d[tpid] = d.get(tpid, 0) - 1
-    return {sid: c for sid, c in d.items() if c}
+def orthonormal(vectors: Iterable[dict], error: type) -> Iterator[dict]:
+    """Pass an orbit through while the u_j = w_j / sqrt(2)^(j+1) are orthonormal
+    (disjoint supports, |w_j|^2 = 2^(j+1)); raise ``error`` at the first that is not."""
+    seen: set = set()
+    for j, w in enumerate(vectors):
+        norm2 = sum(c * c for c in w.values())
+        if not seen.isdisjoint(w) or norm2 != 1 << (j + 1):
+            raise error(
+                f"orbit of e_t - e_t' is not orthonormal at w_{j}: its support meets an "
+                f"earlier one or |w_{j}|^2 = {norm2} is not 2^{j + 1}"
+            )
+        seen.update(w)
+        yield w
 
 
-def _three_term(aw: dict[int, int], prev: dict[int, int]) -> dict[int, int]:
-    """The next orbit vector A w_j - 2 w_{j-1}, formed in place of A w_j."""
-    for sid, c in prev.items():
-        c = aw.get(sid, 0) - 2 * c
-        if c:
-            aw[sid] = c
-        else:
-            aw.pop(sid, None)
-    return aw
+def _difference(instance: CompiledInstance) -> dict:
+    """e_t - e_t', keyed by string; the zero vector when t = t'."""
+    return {} if instance.t == instance.t_prime else {instance.t: 1, instance.t_prime: -1}
+
+
+def _three_term(w: dict, prev: dict, neighbors) -> dict:
+    """The next orbit vector A w_j - 2 w_{j-1}, with A w_j taken from the
+    neighbours of each key of w_j; entries that cancel are dropped."""
+    out = {x: -2 * c for x, c in prev.items()}
+    for x, c in w.items():
+        for y in neighbors(x):
+            out[y] = out.get(y, 0) + c
+    return {y: c for y, c in out.items() if c}
 
 
 def exact_deltas(
@@ -236,7 +242,7 @@ def exact_deltas(
                     dist[y] = d
                     layer.append(y)
         frontier = layer
-    b = _difference(space, instance)
+    b = {space.intern(x): c for x, c in _difference(instance).items()}
     deltas = []
     for n in range(max_n + 1):
         if n:
@@ -247,18 +253,20 @@ def exact_deltas(
     return deltas
 
 
-def orbit(instance: CompiledInstance, space: WalkSpace) -> Iterator[dict[int, int]]:
+def orbit(instance: CompiledInstance) -> Iterator[dict]:
     """The three-term orbit w_0 = e_t - e_t', w_{j+1} = A w_j - 2 w_{j-1}.
 
-    Yields each w_j until the next one is zero; the product A w_j is taken
-    only when w_{j+1} is asked for. On a compiled instance this is the
-    forward orbit w_{j+1} = F w_j of ``orbit_check``, of ell vectors.
-    ``exact_delta`` reads w_j[s] from it, and the estimator its span.
+    Yields each w_j, keyed by string, until the next one is zero; A w_j is
+    formed from ``weighted_neighbors`` only when w_{j+1} is asked for. Only
+    w_{j-1} and w_j are held and nothing is interned: the orbit never
+    revisits a vector. On a compiled instance this is the forward orbit of
+    ``orbit_check``, of ell vectors. ``exact_delta`` reads w_j[s] from it,
+    and the estimator its span.
     """
-    prev, w = {}, _difference(space, instance)
+    prev, w = {}, _difference(instance)
     while w:
         yield w
-        prev, w = w, _three_term(step(instance.system, WalkVector(space, w)).entries, prev)
+        prev, w = w, _three_term(w, prev, instance.system.weighted_neighbors)
 
 
 def exact_delta(instance: CompiledInstance, n: int) -> int:
@@ -273,14 +281,12 @@ def exact_delta(instance: CompiledInstance, n: int) -> int:
     rewriting system. The column is taken from the lowest such j with
     sigma_j != 0 up, from one row of binomials (``spectral.path_column``).
     On a compiled instance the orbit stops at k = ell, and on every ladder
-    rung only sigma_(ell-1) is nonzero, so the cost is ell walk steps over
-    the orbit's support, whatever n is, plus n/2 big-int steps on integers
-    of at most n bits.
+    rung only sigma_(ell-1) is nonzero, so the cost is ell neighbour
+    generations over the orbit's support, whatever n is, plus n/2 big-int
+    steps on integers of at most n bits.
     """
     _check_walk(n, instance.s, instance.t, instance.t_prime)
-    space = WalkSpace(instance.system)
-    sid = space.intern(instance.s)
-    sigma = [w.get(sid, 0) for w in islice(orbit(instance, space), n + 1)]
+    sigma = [w.get(instance.s, 0) for w in islice(orbit(instance), n + 1)]
     k = len(sigma)
     if k <= 1:
         return sigma[0] if k and n == 0 else 0

@@ -483,6 +483,34 @@ def test_estimate_past_the_dense_guard(tmp_path, capsys):
     assert out["exact_clipped"] == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.slow
+def test_delta_at_ell_9072_peak_rss_under_50_mb(tmp_path):
+    # the orbit holds two vectors of a few hundred strings at a time; keyed
+    # by interned ids it kept 559,668 strings and their adjacency, ~200 MB
+    layers = ["h 0", "h 1", "toffoli 0", "h 2", "toffoli 1", "h 3", "h 4", "h 5"]
+    circuit = parse_circuit("qubits 6\n" + "\n---\n".join(layers) + "\n")
+    inst = compile_circuit(circuit, [0] * 6)
+    assert inst.ell == 9072
+    path = tmp_path / "ell-9072.json"
+    inst.save(path)
+    argv = ["delta", "--instance", str(path), "--steps", str(inst.ell + 1)]
+    code = (
+        "import resource, sys; from walkdelta import cli; exit_code = cli.main(%r); "
+        "print(exit_code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)"
+    ) % argv
+    # a child's ru_maxrss starts at the RSS of the process that started it
+    # (about 50 MB for pytest), so a bare interpreter starts the measured one
+    launcher = "import subprocess, sys; subprocess.run(sys.argv[1:])"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(walkdelta.__file__))}
+    cmd = [sys.executable, "-c", launcher, sys.executable, "-c", code]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    exit_code, max_rss_kb = map(int, proc.stderr.split())
+    sign = json.loads(proc.stdout)["outputs"]["sign"]
+    assert sign == -overlap(circuit, [0] * 6).sign() != 0
+    assert exit_code == (0 if sign > 0 else 1)
+    assert max_rss_kb < 50 * 1024
+
+
 def test_resource_error_exit_3(workspace, capsys):
     root, circuit, _ = workspace
     out = root / "tiny.json"

@@ -318,11 +318,10 @@ def remainder_state(inst, graph) -> dict:
     """Oracle: e_s - sum_j <s|u_j> u_j for the orbit u_j = w_j / sqrt(2)^(j+1),
     as a state keyed by string."""
     r = {inst.s: 1.0}
-    for j, w in enumerate(verifier.orbit(inst, graph)):
+    for j, w in enumerate(verifier.orbit(inst)):
         scale = math.sqrt(2.0) ** (j + 1)
-        a = w.get(graph.index[inst.s], 0) / scale
-        for sid, c in w.items():
-            key = graph.strings[sid]
+        a = w.get(inst.s, 0) / scale
+        for key, c in w.items():
             r[key] = r.get(key, 0.0) - a * c / scale
     return r
 

@@ -175,37 +175,47 @@ def test_exact_delta_matches_exact_deltas_around_ell(text, x):
 def test_three_term_orbit_is_forward_orbit(text, x):
     # w_{j+1} = A w_j - 2 w_{j-1} gives F^j (e_t - e_t'), then stops at ell
     inst = compile_circuit(parse_circuit(text), x)
-    space = WalkSpace(inst.system)
-    orbit = list(islice(verifier.orbit(inst, space), inst.ell + 1))
+    orbit = list(islice(verifier.orbit(inst), inst.ell + 1))
     assert len(orbit) == inst.ell
     forward_space, forward = integer_orbit(inst)
-
-    def by_string(sp, vectors):
-        return [{sp.strings[sid]: c for sid, c in w.items()} for w in vectors]
-
-    assert by_string(space, orbit) == by_string(forward_space, forward)
+    assert orbit == [{forward_space.strings[sid]: c for sid, c in w.items()} for w in forward]
 
 
 def test_exact_delta_cost_does_not_grow_with_n(h_setup, monkeypatch):
+    # one neighbour generation per string of the orbit's support, at most
     _, _, inst = h_setup
     calls = 0
-    original = verifier.step
+    original = ClockSystem.weighted_neighbors
 
-    def counted(system, v):
+    def counted(system, s):
         nonlocal calls
         calls += 1
-        return original(system, v)
+        return original(system, s)
 
-    monkeypatch.setattr(verifier, "step", counted)
+    monkeypatch.setattr(ClockSystem, "weighted_neighbors", counted)
 
-    def steps_for(n):
+    def generations_for(n):
         nonlocal calls
         calls = 0
         exact_delta(inst, n)
         return calls
 
-    assert steps_for(2001) == steps_for(201) <= inst.ell == 64
-    assert steps_for(10) <= 11
+    support = sum(map(len, verifier.orbit(inst)))
+    assert 0 < generations_for(2001) == generations_for(201) <= support
+    assert generations_for(10) <= sum(map(len, islice(verifier.orbit(inst), 10)))
+
+
+def test_exact_delta_interns_nothing(h_setup, monkeypatch):
+    _, _, inst = h_setup
+    toy = SimpleNamespace(system=four_cycle_system(), s=(0, 0), t=(1, 1), t_prime=(0, 1))
+    lengths = (0, 1, 2, 5, 65)
+    want = [[exact_deltas(i, n)[n] for n in lengths] for i in (inst, toy)]
+
+    def refused(space, x):
+        raise AssertionError(f"interned {x!r}")
+
+    monkeypatch.setattr(WalkSpace, "intern", refused)
+    assert [[exact_delta(i, n) for n in lengths] for i in (inst, toy)] == want
 
 
 @pytest.mark.parametrize(
