@@ -105,8 +105,8 @@ def cmd_verify(args) -> tuple[dict, dict, bool | None, int]:
 
 
 def cmd_spectral(args) -> tuple[dict, dict, bool | None, int]:
+    upper, lower, lower_valid = spectral.bounds(args.ell, args.m)  # rejects a bad m first
     corner_exact, corner_float = spectral.corner_entry(args.ell, args.m)
-    upper, lower, lower_valid = spectral.bounds(args.ell, args.m)
     outputs = {
         "lambda0": spectral.eigenvalue(args.ell, 0),
         "w0": spectral.weight(args.ell, 0),

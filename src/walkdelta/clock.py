@@ -615,46 +615,14 @@ def growth_constants(ell: int) -> tuple[float, float]:
     return SQRT2 * spectral.eigenvalue(ell, 0), spectral.weight(ell, 0) / (3 * SQRT2)
 
 
-class CompiledInstance:
+class CompiledInstance(
+    namedtuple("CompiledInstance", "system s t t_prime m ell d_parity c epsilon")
+):
     """A walk instance: a system, the endpoints s, t and t' (bytes for a
     ClockSystem, one cell a byte; symbol tuples for explicit rules), the
     walk length m, the clock length ell and its constants."""
 
-    __slots__ = ("system", "s", "t", "t_prime", "m", "ell", "d_parity", "c", "epsilon")
-
-    def __init__(
-        self,
-        system: ClockSystem | RewritingSystem,
-        s: bytes | tuple[int, ...],
-        t: bytes | tuple[int, ...],
-        t_prime: bytes | tuple[int, ...],
-        m: int,
-        ell: int,
-        d_parity: int,
-        c: float,
-        epsilon: float,
-    ):
-        self.system = system
-        self.s = s
-        self.t = t
-        self.t_prime = t_prime
-        self.m = m
-        self.ell = ell
-        self.d_parity = d_parity
-        self.c = c
-        self.epsilon = epsilon
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"CompiledInstance({fields})"
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -680,12 +648,12 @@ class CompiledInstance:
         Instance files produced by the compiler carry the rule-generator
         tag; hand-written instances may instead list explicit rules in the
         rewriting-system format, in which case the clock-specific fields
-        take neutral defaults; a compiled instance's c and epsilon follow
-        from its ell, whatever the file holds.  Malformed documents raise
-        CompileError, as does an m or ell that is not an integer, an m below
-        0, a d_parity not 0 or 1, an explicit
-        c or epsilon out of range, or, on a compiled instance, an m below
-        ell - 1 or of the parity of ell: no gap instance has such a walk.
+        take neutral defaults; a compiled instance must hold its ell and
+        d_parity, and its c and epsilon follow from its ell, whatever the
+        file holds.  Malformed documents raise CompileError, as does an m or
+        ell that is not an integer, an m below 0, a d_parity not 0 or 1, an
+        explicit c or epsilon out of range, or, on a compiled instance, an m
+        below ell - 1 or of the parity of ell: no gap instance has such a walk.
         """
         if not isinstance(doc, dict) or not isinstance(doc.get("system"), dict):
             raise CompileError("instance file must hold an object with a system object")
@@ -694,6 +662,8 @@ class CompiledInstance:
             if rules == "clock-v1":
                 if list(doc["system"]["alphabet"]) != list(clock_alphabet().tokens):
                     raise CompileError("alphabet mismatch in instance file")
+                if not {"ell", "d_parity"} <= doc.keys():
+                    raise CompileError("a compiled instance file must hold ell and d_parity")
                 system = ClockSystem()
             elif isinstance(rules, list):
                 system = RewritingSystem.from_json(doc["system"])

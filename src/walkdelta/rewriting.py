@@ -155,8 +155,7 @@ class WalkSpace:
     """String interning plus a per-vertex adjacency cache.
 
     For walks that revisit the same strings every step, as ``exact_deltas``
-    does (``verifier.orbit`` never does, and keys its vectors by string);
-    ``verifier.ReachableGraph`` expands it to a whole component. Interning
+    does; ``verifier.ReachableGraph`` expands it to a whole component. Interning
     keys all maps by small integers and the adjacency of each vertex is
     generated once, on first use. ``strings[i]`` is the string of id i, in
     the system's form (symbol tuples, or bytes for the clock system),
@@ -191,25 +190,11 @@ class WalkSpace:
             cached = self.adj[sid] = tuple(sorted(map(self.intern, nbrs)))
         return cached
 
-    def multiply(self, entries: dict[int, int]) -> dict[int, int]:
-        """The adjacency matrix times an integer vector keyed by id.
-
-        Entries that cancel to zero, which a signed vector can have, are
-        dropped.
-        """
-        out: dict[int, int] = {}
-        for sid, count in entries.items():
-            for nb in self.adj[sid] or self.adjacency(sid):
-                out[nb] = out.get(nb, 0) + count
-        for sid in [sid for sid, count in out.items() if not count]:
-            del out[sid]
-        return out
-
     def __len__(self):
         return len(self.strings)
 
 
-class WalkVector:
+class WalkVector(namedtuple("WalkVector", "space entries")):
     """A^n times an integer start vector, on the strings seen so far.
 
     The start is e_s for a walk from s (a column of A^n) or a signed vector
@@ -217,30 +202,29 @@ class WalkVector:
     zero entries are never stored.
     """
 
-    __slots__ = ("space", "entries")
-
-    def __init__(self, space: WalkSpace, entries: dict[int, int]):
-        self.space = space
-        self.entries = entries
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.space, self.entries) == (other.space, other.entries)
-
-    def __repr__(self):
-        return f"WalkVector(space={self.space!r}, entries={self.entries!r})"
+    __slots__ = ()
 
     @classmethod
     def basis(cls, space: WalkSpace, s: Sequence[int]) -> "WalkVector":
         return cls(space, {space.intern(s): 1})
 
 
+def three_term(w: dict, prev: dict, neighbors) -> dict:
+    """A w - 2 prev, with A w summed over the neighbours of each key of w;
+    entries that cancel are dropped. The package's one exact A w loop:
+    ``step`` passes an empty prev, the three-term orbit w_{j-1}."""
+    out = {x: -2 * c for x, c in prev.items()}
+    for x, c in w.items():
+        for y in neighbors(x):
+            out[y] = out.get(y, 0) + c
+    return {y: c for y, c in out.items() if c}
+
+
 def step(system, v: WalkVector) -> WalkVector:
     """Multiply by the adjacency matrix once: one replacement everywhere."""
     if v.space.system is not system:
         raise RewriteError("vector belongs to a different system")
-    return WalkVector(v.space, v.space.multiply(v.entries))
+    return WalkVector(v.space, three_term(v.entries, {}, v.space.adjacency))
 
 
 def _check_walk(n: int, *strings: Sequence[int]) -> None:

@@ -9,13 +9,14 @@ sign decision is correct, and the gap/growth promises hold.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
 from . import spectral
 from .circuits import Circuit, R2_INV_SQRT2, R2_ONE, Root2Frac, overlap
 from .clock import CompiledInstance, backward_images, forward_images, rule_windows
-from .rewriting import WalkSpace, WalkVector, _check_walk, step
+from .rewriting import WalkSpace, WalkVector, _check_walk, step, three_term
 
 
 class VerifyError(Exception):
@@ -35,23 +36,13 @@ def sqrt2_power(n: int) -> Root2Frac:
     return Root2Frac(0, 1 << (n // 2), 0)
 
 
-class Check:
+class Check(namedtuple("Check", "name passed details")):
     """One named check; ``passed`` is None when it does not apply."""
 
-    __slots__ = ("name", "passed", "details")
+    __slots__ = ()
 
-    def __init__(self, name: str, passed: bool | None, details: dict | None = None):
-        self.name = name
-        self.passed = passed
-        self.details = {} if details is None else details
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.passed, self.details) == (other.name, other.passed, other.details)
-
-    def __repr__(self):
-        return f"Check(name={self.name!r}, passed={self.passed!r}, details={self.details!r})"
+    def __new__(cls, name: str, passed: bool | None, details: dict | None = None):
+        return super().__new__(cls, name, passed, {} if details is None else details)
 
 
 class VerificationReport:
@@ -178,7 +169,7 @@ def orbit_check(
 
     mismatch = None
     for j, wj in enumerate(w):
-        got = _three_term(wj, w[j - 1] if j else {}, space.adjacency)
+        got = three_term(wj, w[j - 1] if j else {}, space.adjacency)
         if mismatch is None and got != (w[j + 1] if j + 1 < len(w) else {}):
             mismatch = j
     report.add("restricted_hamiltonian_is_path", mismatch is None, mismatch=mismatch)
@@ -203,16 +194,6 @@ def orthonormal(vectors: Iterable[dict], error: type) -> Iterator[dict]:
 def _difference(instance: CompiledInstance) -> dict:
     """e_t - e_t', keyed by string; the zero vector when t = t'."""
     return {} if instance.t == instance.t_prime else {instance.t: 1, instance.t_prime: -1}
-
-
-def _three_term(w: dict, prev: dict, neighbors) -> dict:
-    """The next orbit vector A w_j - 2 w_{j-1}, with A w_j taken from the
-    neighbours of each key of w_j; entries that cancel are dropped."""
-    out = {x: -2 * c for x, c in prev.items()}
-    for x, c in w.items():
-        for y in neighbors(x):
-            out[y] = out.get(y, 0) + c
-    return {y: c for y, c in out.items() if c}
 
 
 def exact_deltas(
@@ -266,7 +247,7 @@ def orbit(instance: CompiledInstance) -> Iterator[dict]:
     prev, w = {}, _difference(instance)
     while w:
         yield w
-        prev, w = w, _three_term(w, prev, instance.system.weighted_neighbors)
+        prev, w = w, three_term(w, prev, instance.system.weighted_neighbors)
 
 
 def exact_delta(instance: CompiledInstance, n: int) -> int:

@@ -269,6 +269,10 @@ BAD_INTEGERS = {
 # an explicit-rule window is an integer too
 BAD_WINDOWS = {"window-fraction": 2.9, "window-string": "2", "window-boolean": True}
 
+# a compiled instance holds its ell and d_parity: the explicit-rule defaults
+# ell = 2 and d_parity = 0 would give it another c, epsilon and identity
+MISSING = {"without-ell": "ell", "without-d-parity": "d_parity"}
+
 
 def _clock_short(instance):
     doc = json.loads(instance.read_text())
@@ -277,6 +281,12 @@ def _clock_short(instance):
 
 def _clock_with(**fields):
     return lambda instance: {**json.loads(instance.read_text()), **fields}
+
+
+def _clock_without(key):
+    return lambda instance: {
+        k: v for k, v in json.loads(instance.read_text()).items() if k != key
+    }
 
 
 def _toy_with_window(window):
@@ -345,6 +355,7 @@ DOCUMENTS = {
     **{f"clock-{k}": _clock_with(d_parity=d) for k, d in BAD_D_PARITY.items()},
     **{f"clock-{k}": _clock_with(**bad) for k, bad in BAD_INTEGERS.items()},
     **{f"explicit-{k}": _toy_with_window(w) for k, w in BAD_WINDOWS.items()},
+    **{f"clock-{k}": _clock_without(key) for k, key in MISSING.items()},
 }
 ARGUMENTS = {
     "delta": ["--steps", "3"],
@@ -366,7 +377,11 @@ def test_no_traceback(workspace, tmp_path, capsys, command, kind):
     if code == 1:
         assert json.loads(captured.out)["passed"] in (False, None)
     bad_kinds = (
-        BAD_CONSTANTS.keys() | BAD_D_PARITY.keys() | BAD_INTEGERS.keys() | BAD_WINDOWS.keys()
+        BAD_CONSTANTS.keys()
+        | BAD_D_PARITY.keys()
+        | BAD_INTEGERS.keys()
+        | BAD_WINDOWS.keys()
+        | MISSING.keys()
     )
     if kind.partition("-")[2] in bad_kinds or (command, kind) in {
         ("verify", "explicit-rules"),  # every check is clock-specific
@@ -702,8 +717,14 @@ def test_delta_negative_steps_exit_2(workspace, capsys):
     assert "walk length must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ell,m", [("1", "3"), ("5", "-1"), ("64", "11"), ("64", "100")])
-def test_spectral_bad_arguments_exit_2(capsys, ell, m):
+@pytest.mark.parametrize(
+    "ell,m", [("1", "3"), ("5", "-1"), ("64", "11"), ("64", "100"), ("64", "274626")]
+)
+def test_spectral_bad_arguments_exit_2(monkeypatch, capsys, ell, m):
+    def refused(*args):  # a bad m is rejected before the corner entry is summed
+        raise AssertionError("path_column called")
+
+    monkeypatch.setattr(spectral, "path_column", refused)
     assert cli.main(["spectral", "--ell", ell, "--m", m]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -54,10 +54,6 @@ FROZEN = {
         (0.5, 0.125, 0.25, 11),
         "NoisyEstimate(value=0.5, bias_bound=0.125, halfwidth=0.25, samples=10)",
     ),
-}
-
-MUTABLE = {
-    WalkVector: ("space", ("space", {0: 1}), ("space", {0: 2}), "WalkVector(space='space', entries={0: 1})"),
     CompiledInstance: (
         "system",
         ("system", b"s", b"t", b"u", 5, 4, 0, 2.0, 0.5),
@@ -65,12 +61,20 @@ MUTABLE = {
         "CompiledInstance(system='system', s=b's', t=b't', t_prime=b'u', m=5, ell=4, "
         "d_parity=0, c=2.0, epsilon=0.5)",
     ),
+}
+
+# immutable records holding a dict: no hash, since the dict has none
+UNHASHABLE = {
+    WalkVector: ("space", ("space", {0: 1}), ("space", {0: 2}), "WalkVector(space='space', entries={0: 1})"),
     Check: (
         "name",
         ("orbit", True, {"n": 1}),
         ("orbit", True, {"n": 2}),
         "Check(name='orbit', passed=True, details={'n': 1})",
     ),
+}
+
+MUTABLE = {
     VerificationReport: (
         "checks",
         ([Check("a", None)], -1),
@@ -78,26 +82,29 @@ MUTABLE = {
         "VerificationReport(checks=[Check(name='a', passed=None, details={})], sigma=-1)",
     ),
 }
+TABLES = (FROZEN, UNHASHABLE, MUTABLE)
 
 
-@pytest.mark.parametrize("cls", [*FROZEN, *MUTABLE], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", [*FROZEN, *UNHASHABLE, *MUTABLE], ids=lambda cls: cls.__name__)
 def test_records_keep_equality_hash_repr_and_immutability(cls):
-    frozen = cls in FROZEN
-    name, args, other, text = (FROZEN if frozen else MUTABLE)[cls]
+    table = next(t for t in TABLES if cls in t)
+    name, args, other, text = table[cls]
     first, second = cls(*args), cls(*args)
     assert first == second and not first != second
     assert cls(*other) != first
     assert repr(first) == text
     assert first != object()
-    if frozen:
+    if table is FROZEN:
         assert hash(first) == hash(second)
-        with pytest.raises(AttributeError):
-            setattr(first, name, None)
     else:
         with pytest.raises(TypeError):
             hash(first)
+    if table is MUTABLE:
         setattr(first, name, None)
         assert getattr(first, name) is None and first != second
+    else:
+        with pytest.raises(AttributeError):
+            setattr(first, name, None)
 
 
 @pytest.mark.parametrize(
