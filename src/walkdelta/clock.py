@@ -680,6 +680,8 @@ class CompiledInstance(
                 c, epsilon = float(doc.get("c", 2.0)), float(doc.get("epsilon", 0.0))
                 if not (0 < c < math.inf and 0 <= epsilon < math.inf):
                     raise CompileError(f"need finite c > 0 and epsilon >= 0, got {c}, {epsilon}")
+        except KeyError as exc:
+            raise CompileError(f"malformed instance file: no {exc.args[0]!r}") from None
         except (TypeError, ValueError, OverflowError, spectral.SpectralError) as exc:
             raise CompileError(f"malformed instance file: {exc}") from None
         if not len(s) == len(t) == len(t_prime) >= system.window:

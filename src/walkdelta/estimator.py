@@ -11,8 +11,12 @@ c^m overflows any float, while the normalized quantities (lambda/c)^m stay
 inside [-1, 1] by the growth promise.
 
 ``estimate_with_noise`` forms the two measures from the orbit of e_t - e_t'
-(``orbit_measures``); ``spectral_measure``, one dense eigh of the whole
-component, is the reference the tests compare it with.
+on the component (``orbit_measures``); ``spectral_measure``, one dense eigh
+of the whole component, is the reference the tests compare it with. Both
+measures are discrete, so ``noisy_estimate`` draws its samples per atom: a
+multinomial count per atom, a binomial share of it for the adversary, and
+uniform offsets only where they can move the clipped power, evaluated in
+(lambda, delta) form so that offsets below ulp(lambda) still count.
 """
 
 from __future__ import annotations
@@ -38,6 +42,17 @@ QUADRATURE_NODES = 40
 KRYLOV_TOL = 1e-12
 
 SQRT2 = math.sqrt(2.0)
+
+# exp(-750) is below half the least subnormal float: a sample whose clipped
+# power has m log(|x| / c) under this is 0.0
+UNDERFLOW_EXPONENT = -750.0
+
+# the most samples numpy's multinomial counts (its int64 range), the most
+# noise offsets one measure's samples may need (tens of seconds of draws),
+# and the most drawn at once
+MAX_SAMPLES = 2**63 - 1
+MAX_OFFSETS = 1 << 30
+NOISE_CHUNK = 1 << 20
 
 
 class EstimateError(Exception):
@@ -174,9 +189,10 @@ def orbit_measures(
     """The spectral measures of psi+- = (e_s +- u_0) / sqrt(2), without the
     eigendecomposition of the component, and the number of Gauss nodes.
 
-    The orbit w_j of e_t - e_t' (``verifier.orbit``, keyed by string) gives
-    u_j = w_j / sqrt(2)^(j+1). Its supports must be disjoint and |w_j|^2 =
-    2^(j+1) (``verifier.orthonormal``): the u_j are then orthonormal, and
+    The orbit w_j of e_t - e_t' (``verifier.orbit``, on the component's ids
+    and its cached adjacency) gives u_j = w_j / sqrt(2)^(j+1). Its supports
+    must be disjoint and |w_j|^2 = 2^(j+1) (``verifier.orthonormal``): the
+    u_j are then orthonormal, and
     the orbit stops inside the finite component, after ell neighbour
     generations on a compiled instance. By the recurrence A u_j = sqrt(2)
     (u_(j-1) + u_(j+1)), so their span W and its complement are
@@ -190,24 +206,25 @@ def orbit_measures(
     so their difference has no remainder term.
     """
     _check_endpoints(instance)
+    s = graph.index[instance.s]
     # (j, w_j) for the one support that holds s, if any: the supports being
     # disjoint, a_j is zero for every other j
     k, hit = 0, None
-    for j, w in enumerate(orthonormal(orbit(instance), EstimateError)):
-        if instance.s in w:
+    for j, w in enumerate(orthonormal(orbit(instance, graph), EstimateError)):
+        if s in w:
             hit = (j, w)
         k = j + 1
 
     first = _path_eigvec_entries(k, 0)
     proj = np.zeros(k)  # q_i . a for every i
     remainder = np.zeros(len(graph))
-    remainder[graph.index[instance.s]] = 1.0
+    remainder[s] = 1.0
     if hit is not None:
         j, w = hit
-        a = _unit_entry(w[instance.s], j)
+        a = _unit_entry(w[s], j)
         proj = a * _path_eigvec_entries(k, j)
         for x, c in w.items():
-            remainder[graph.index[x]] -= a * _unit_entry(c, j)
+            remainder[x] -= a * _unit_entry(c, j)
     nodes, weights = gauss_rule(_adjacency_operator(graph), remainder)
     eigenvalues = np.concatenate([_path_spectrum(k), nodes])
     half = weights / 2
@@ -278,6 +295,20 @@ class NoisyEstimate(namedtuple("NoisyEstimate", "value bias_bound halfwidth samp
         return self.bias_bound + self.halfwidth
 
 
+def _noisy_powers(lam: float, offsets: np.ndarray, m: int, c: float, eta: float) -> np.ndarray:
+    """The clipped powers of lam + delta for each offset delta, in (lam, delta)
+    form: sign(lam)^m exp(min(0, m (log(|lam|/c) + log1p(delta/lam)))).
+
+    The float lam + delta would round away every offset below ulp(lam); this
+    form keeps it. When |lam| <= eta an offset may change the sign, and it
+    is then not small against lam, so the float sum is taken.
+    """
+    if abs(lam) <= eta:
+        return clipped_powers(lam + offsets, m, c)
+    sign = -1.0 if lam < 0 and m % 2 else 1.0
+    return sign * np.exp(np.minimum(0.0, m * (math.log(abs(lam) / c) + np.log1p(offsets / lam))))
+
+
 def _sample_clipped(
     measure: SpectralMeasure,
     m: int,
@@ -285,21 +316,45 @@ def _sample_clipped(
     eta: float,
     theta: float,
     samples: int,
-    rng: np.random.Generator,
+    draws: np.random.Generator,
+    noise: np.random.Generator,
 ) -> float:
-    lam_max = float(np.max(np.abs(measure.eigenvalues)))
-    idx = rng.choice(len(measure.eigenvalues), size=samples, p=measure.probabilities)
-    lam = measure.eigenvalues[idx]
-    noisy = lam + rng.uniform(-eta, eta, size=samples)
-    adversarial = rng.random(samples) < theta
+    """The mean clipped power of ``samples`` noisy eigenvalue samples, drawn
+    per atom of the measure.
+
+    How often each atom is drawn is one multinomial count, and how many of
+    those draws the adversary replaces is a binomial, since its pick depends
+    only on the atom. An honest sample lam + delta, delta uniform in
+    [-eta, eta), has the clipped power f(lam) whatever delta is when eta is
+    0, when the atom clips (|lam| - c > eta: every sample saturates to +-1)
+    or when it underflows (m log((|lam| + eta) / c) < -750: every sample is
+    0.0), so offsets are drawn, in chunks, only for the atoms left.
+    """
+    lam = measure.eigenvalues
+    counts = draws.multinomial(samples, measure.probabilities / measure.probabilities.sum())
+    adversarial = draws.binomial(counts, theta)
+    honest = counts - adversarial
+    f = clipped_powers(lam, m, c)
     # the adversary reports whichever extreme eigenvalue moves the clipped
     # power map farthest from the true value
-    if np.any(adversarial):
-        true_f = clipped_powers(lam[adversarial], m, c)
-        f_hi, f_lo = clipped_powers(np.array([lam_max, -lam_max]), m, c)
-        pick_hi = np.abs(f_hi - true_f) >= np.abs(f_lo - true_f)
-        noisy[adversarial] = np.where(pick_hi, lam_max, -lam_max)
-    return float(np.mean(clipped_powers(noisy, m, c)))
+    lam_max = float(np.max(np.abs(lam)))
+    f_hi, f_lo = clipped_powers(np.array([lam_max, -lam_max]), m, c)
+    reported = np.where(np.abs(f_hi - f) >= np.abs(f_lo - f), f_hi, f_lo)
+    noisy = np.zeros(len(lam), dtype=bool)
+    if eta > 0:
+        noisy = (np.abs(lam) - c <= eta) & (
+            m * np.log((np.abs(lam) + eta) / c) >= UNDERFLOW_EXPONENT
+        )
+    needed = int(honest[noisy].sum())
+    if needed > MAX_OFFSETS:
+        raise EstimateError(f"{needed} samples need noise drawn one by one, past 2^30")
+    mean = (adversarial / samples) @ reported + (honest / samples) @ np.where(noisy, 0.0, f)
+    for i in np.flatnonzero(noisy):
+        for start in range(0, int(honest[i]), NOISE_CHUNK):
+            size = min(NOISE_CHUNK, int(honest[i]) - start)
+            offsets = noise.uniform(-eta, eta, size)
+            mean += float(np.sum(_noisy_powers(lam[i], offsets, m, c, eta))) / samples
+    return float(mean)
 
 
 def noisy_estimate(
@@ -317,12 +372,17 @@ def noisy_estimate(
 
     Each eigenvalue sample is shifted by a uniform perturbation in
     [-eta, eta], except with probability theta it is replaced adversarially.
+    The samples are drawn per atom (``_sample_clipped``), so the cost does
+    not grow with their number; the counts and the offsets come from two
+    streams of the seed, so a change of eta alone moves only the offsets.
     The returned half-width combines the two per-state Hoeffding widths
     through the 1/sqrt(2) prefactor of the difference.
     """
-    rng = np.random.default_rng(seed)
-    mean_plus = _sample_clipped(plus, m, c, eta, theta, samples, rng)
-    mean_minus = _sample_clipped(minus, m, c, eta, theta, samples, rng)
+    if samples > MAX_SAMPLES:
+        raise EstimateError(f"samples = {samples} is past 2^63 - 1, the most the sampler counts")
+    draws, noise = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    mean_plus = _sample_clipped(plus, m, c, eta, theta, samples, draws, noise)
+    mean_minus = _sample_clipped(minus, m, c, eta, theta, samples, draws, noise)
     value = (mean_plus - mean_minus) / math.sqrt(2.0)
     hw = math.sqrt(2.0) * hoeffding_halfwidth(samples, delta)
     bias = math.sqrt(2.0) * bias_bound(eta, theta, m, c)

@@ -234,20 +234,26 @@ def exact_deltas(
     return deltas
 
 
-def orbit(instance: CompiledInstance) -> Iterator[dict]:
+def orbit(instance: CompiledInstance, space: WalkSpace | None = None) -> Iterator[dict]:
     """The three-term orbit w_0 = e_t - e_t', w_{j+1} = A w_j - 2 w_{j-1}.
 
-    Yields each w_j, keyed by string, until the next one is zero; A w_j is
-    formed from ``weighted_neighbors`` only when w_{j+1} is asked for. Only
-    w_{j-1} and w_j are held and nothing is interned: the orbit never
-    revisits a vector. On a compiled instance this is the forward orbit of
-    ``orbit_check``, of ell vectors. ``exact_delta`` reads w_j[s] from it,
-    and the estimator its span.
+    Yields each w_j until the next one is zero; A w_j is formed only when
+    w_{j+1} is asked for. Without a walk space the w_j are keyed by string
+    and A w_j comes from ``weighted_neighbors``, nothing interned: the orbit
+    never revisits a vector, and only w_{j-1} and w_j are held. With one
+    they are keyed by its ids and A w_j comes from its adjacency cache, as
+    the estimator reads the orbit from the closure it has built. On a
+    compiled instance this is the forward orbit of ``orbit_check``, of ell
+    vectors. ``exact_delta`` reads w_j[s] from it, and the estimator its
+    span.
     """
-    prev, w = {}, _difference(instance)
+    w, neighbors = _difference(instance), instance.system.weighted_neighbors
+    if space is not None:
+        w, neighbors = {space.intern(x): c for x, c in w.items()}, space.adjacency
+    prev = {}
     while w:
         yield w
-        prev, w = w, three_term(w, prev, instance.system.weighted_neighbors)
+        prev, w = w, three_term(w, prev, neighbors)
 
 
 def exact_delta(instance: CompiledInstance, n: int) -> int:

@@ -649,6 +649,46 @@ def test_estimate_error_exit_3(workspace, capsys, monkeypatch):
     assert "resource error: component too large" in capsys.readouterr().err
 
 
+def test_estimate_past_the_countable_samples_exit_3(workspace, capsys):
+    # numpy counts draws in int64; 10^19 >= 2^63 is refused in one line,
+    # where it used to end in a traceback and exit 1
+    _, _, instance = workspace
+    argv = ["estimate", "--instance", str(instance), "--eta", "0", "--theta", "0",
+            "--samples", str(10**19)]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"resource error: samples = {10**19} is past 2^63 - 1, " \
+        "the most the sampler counts\n"
+
+
+def test_estimate_out_of_memory_exit_3(workspace, capsys, monkeypatch):
+    _, _, instance = workspace
+
+    def exhaust(*args, **kwargs):
+        raise MemoryError("no room for the offsets")
+
+    monkeypatch.setattr(estimator, "noisy_estimate", exhaust)
+    argv = ["estimate", "--instance", str(instance), "--eta", "0", "--theta", "0", "--samples", "1"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource error: no room for the offsets\n"
+
+
+@pytest.mark.parametrize("key", ["m", "s", "t", "t_prime"])
+def test_instance_without_a_field_exit_2(workspace, tmp_path, capsys, key):
+    _, _, instance = workspace
+    doc = json.loads(instance.read_text())
+    del doc[key]
+    path = tmp_path / "lacking.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["delta", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: malformed instance file: no '{key}'\n"
+
+
 def test_float_overflow_exit_3(capsys, monkeypatch):
     def overflow(args):
         raise OverflowError("math range error")

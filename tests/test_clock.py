@@ -382,6 +382,14 @@ def test_instance_json_rejects_bad_generator(tmp_path):
         CompiledInstance.from_json(doc)
 
 
+@pytest.mark.parametrize("key", ["m", "s", "t", "t_prime"])
+def test_instance_json_without_a_field_is_a_compile_error(key):
+    doc = compile_circuit(parse_circuit("qubits 1\nh 0"), [0]).to_json()
+    del doc[key]
+    with pytest.raises(CompileError, match=f"no '{key}'"):
+        CompiledInstance.from_json(doc)
+
+
 def test_strings_are_bytes_exactly_for_the_clock_system(tmp_path):
     inst = compile_circuit(parse_circuit("qubits 2\nh 0\n---\nswap 0"), [0, 0])
     path, again = tmp_path / "inst.json", tmp_path / "again.json"

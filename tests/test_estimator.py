@@ -5,7 +5,7 @@ import pytest
 
 from walkdelta import spectral, verifier
 from walkdelta.circuits import overlap, parse_circuit
-from walkdelta.clock import compile_circuit
+from walkdelta.clock import ClockSystem, compile_circuit
 from walkdelta.estimator import (
     QUADRATURE_NODES,
     EstimateError,
@@ -185,6 +185,105 @@ def test_noisy_estimate_within_bound(h_measures):
         if abs(est.value - exact) <= est.error_bound:
             hits += 1
     assert hits >= int(0.9 * trials)
+
+
+def atom(lam: float) -> SpectralMeasure:
+    return SpectralMeasure(np.array([lam]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("samples", [1, 7, 10**15])
+@pytest.mark.parametrize("lam", [2.9, 2.5, 0.3, -2.5])
+def test_one_atom_estimate_is_exact(lam, samples):
+    # the minus measure sits at 0, where every power is 0.0, adversarial
+    # or not, so the estimate is the plus mean over sqrt 2, to the bit; at
+    # odd m the adversary's extreme for lam is -lam
+    m, c = 5, 2.8
+    f, f_adversarial = clipped_powers(np.array([lam, -lam]), m, c)
+    honest = noisy_estimate(atom(lam), atom(0.0), m, c, 0.0, 0.0, samples, seed=1)
+    assert honest.value == f / math.sqrt(2.0)
+    replaced = noisy_estimate(atom(lam), atom(0.0), m, c, 0.0, 1.0, samples, seed=1)
+    assert replaced.value == f_adversarial / math.sqrt(2.0)
+
+
+def test_too_many_offsets_refused_before_drawing():
+    # every sample of an atom that noise can move needs its own offset; past
+    # 2^30 of them the estimate is refused, not left to run for hours
+    at_c = atom(2.8)
+    with pytest.raises(EstimateError, match=r"1073741825 samples need noise drawn one by one"):
+        noisy_estimate(at_c, at_c, 5, 2.8, 1e-3, 0.0, 2**30 + 1, seed=1)
+    # an atom that clips needs none, whatever the count
+    far = atom(3.0)
+    assert noisy_estimate(far, far, 5, 2.8, 1e-3, 0.0, 2**62, seed=1).value == 0.0
+
+
+@pytest.fixture(scope="module")
+def h_orbit_measures():
+    inst = compile_circuit(parse_circuit("qubits 1\nh 0"), [0])
+    plus, minus, _ = orbit_measures(inst, reachable_component(inst))
+    return inst, plus, minus
+
+
+def test_estimates_have_the_multinomial_mean_and_variance(h_orbit_measures):
+    # noiseless, the estimate is a difference of two independent multinomial
+    # means; over 400 seeds its mean is Delta(m) / c^m within 4 standard
+    # errors, and its sample variance is the multinomial value within 30%,
+    # about 4 standard errors of a variance from 400 draws
+    inst, plus, minus = h_orbit_measures
+    n, seeds = 500, 400
+    f = clipped_powers(plus.eigenvalues, inst.m, inst.c)
+    var = sum(mu.probabilities @ f**2 - (mu.probabilities @ f) ** 2 for mu in (plus, minus))
+    var /= 2 * n
+    values = np.array([
+        noisy_estimate(plus, minus, inst.m, inst.c, 0.0, 0.0, n, seed=seed).value
+        for seed in range(seeds)
+    ])
+    exact = delta_moment(plus, minus, inst.m, inst.c)
+    assert abs(values.mean() - exact) <= 4 * math.sqrt(var / seeds)
+    assert 0.7 <= values.var(ddof=1) / var <= 1.3
+
+
+def test_orbit_measures_read_the_closure(monkeypatch):
+    # the closure holds every adjacency the orbit needs: no string's
+    # neighbours are generated again
+    inst = compile_circuit(parse_circuit("qubits 2\nh 0\n---\nswap 0"), [0, 0])
+    graph = reachable_component(inst)
+    calls = []
+    weighted_neighbors = ClockSystem.weighted_neighbors
+
+    def counted(system, s):
+        calls.append(s)
+        return weighted_neighbors(system, s)
+
+    monkeypatch.setattr(ClockSystem, "weighted_neighbors", counted)
+    plus, minus, nodes = orbit_measures(inst, graph)
+    assert calls == []
+    assert (len(plus.eigenvalues), nodes) == (inst.ell + QUADRATURE_NODES, QUADRATURE_NODES)
+    monkeypatch.undo()
+    # the string-keyed orbit is the same orbit on the closure's ids
+    by_id = verifier.orbit(inst, graph)
+    for w, v in zip(verifier.orbit(inst), by_id, strict=True):
+        assert {graph.index[x]: c for x, c in w.items()} == v
+
+
+@pytest.mark.slow
+def test_planned_noise_moves_the_estimate_at_ell_704():
+    # eta = eps c / (4 m) is 2.7e-17 here, below ulp(c); a sample kept as
+    # the float lam + delta would lose it, and the estimate would equal the
+    # noiseless one at the same seed. 10^10 samples put about 160 and 440
+    # on the top atom, lam = c, whose clipped power the offsets move by up
+    # to m eta / c = eps / 4
+    inst = compile_circuit(parse_circuit("qubits 3\nh 0\n---\nh 1\n---\ntoffoli 0"), [0, 0, 0])
+    plus, minus, _ = orbit_measures(inst, reachable_component(inst))
+    eta, _ = plan_noise(inst.epsilon, inst.m, inst.c)
+    assert eta < np.spacing(inst.c) / 10
+    top = np.flatnonzero(plus.eigenvalues == inst.c)
+    assert len(top) == 1
+    assert min(plus.probabilities[top[0]], minus.probabilities[top[0]]) * 1e10 > 100
+    for seed in range(3):
+        noisy = noisy_estimate(plus, minus, inst.m, inst.c, eta, 0.0, 10**10, seed=seed).value
+        clean = noisy_estimate(plus, minus, inst.m, inst.c, 0.0, 0.0, 10**10, seed=seed).value
+        # far past the rounding of a sum in another order
+        assert abs(noisy - clean) > 1e4 * np.spacing(abs(clean))
 
 
 def test_vertex_guard():
