@@ -20,7 +20,7 @@ from . import spectral
 from .circuits import CircuitError, SimulationTooLarge, parse_circuit
 from .clock import ClockSystem, CompiledInstance, CompileError, compile_circuit
 from .rewriting import BudgetExceeded, RewriteError
-from .verifier import ReachableGraph, VerifyError, exact_delta, verify
+from .verifier import VERTEX_BUDGET, ReachableGraph, VerifyError, exact_delta, verify
 
 SCHEMA = "walkdelta-result-1"
 
@@ -59,7 +59,7 @@ def cmd_compile(args) -> tuple[dict, dict, bool | None, int]:
     circuit = _load_circuit(args.circuit)
     x = _parse_bits(args.input)
     try:
-        instance = compile_circuit(circuit, x, m_mode=args.m_mode)
+        instance = compile_circuit(circuit, x)
     except (CompileError, spectral.SpectralError) as exc:
         raise ResourceFailure(str(exc))
     graph = ReachableGraph(
@@ -79,7 +79,7 @@ def cmd_compile(args) -> tuple[dict, dict, bool | None, int]:
         "window": instance.system.window,
         "reachable_vertices": len(graph),
     }
-    inputs = {"circuit": args.circuit, "input": args.input, "m_mode": args.m_mode}
+    inputs = {"circuit": args.circuit, "input": args.input}
     return inputs, outputs, True, EXIT_OK
 
 
@@ -176,15 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="walkdelta",
         description="Compile circuits to rewriting systems and decide walk-count signs.",
     )
-    parser.add_argument("--schema-version", default=SCHEMA, help="expected output schema")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compile", help="compile a circuit to an instance file")
     p.add_argument("--circuit", required=True)
     p.add_argument("--input", required=True, help="input bits, e.g. 110")
-    p.add_argument("--m-mode", choices=["paper", "minimal", "sign_only"], default="paper")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--vertex-budget", type=_in_range(int, 1), default=100_000)
+    p.add_argument("--vertex-budget", type=_in_range(int, 1), default=VERTEX_BUDGET)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("delta", help="walk-count difference of an instance")
@@ -206,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="noisy spectral estimate of the sign")
     p.add_argument("--instance", required=True)
     p.add_argument("--m", type=_in_range(int, 0), default=None)
-    p.add_argument("--eta", type=_in_range(float, 0.0), required=True)
+    p.add_argument("--eta", type=_in_range(float, 0.0, sys.float_info.max / 2), required=True)
     p.add_argument("--theta", type=_in_range(float, 0.0, 1.0), required=True)
     p.add_argument("--samples", type=_in_range(int, 1), required=True)
     p.add_argument("--seed", type=_in_range(int, 0), default=0)
@@ -222,9 +220,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
-    if args.schema_version != SCHEMA:
-        print(f"unsupported schema {args.schema_version!r}", file=sys.stderr)
-        return EXIT_PARSE
     t0 = time.perf_counter()
     try:
         inputs, outputs, passed, code = args.func(args)

@@ -631,9 +631,9 @@ class CompiledInstance(
     def to_json(self) -> dict:
         return {
             "system": self.system.to_json(),
-            "s": [cell_token(c) for c in self.s],
-            "t": [cell_token(c) for c in self.t],
-            "t_prime": [cell_token(c) for c in self.t_prime],
+            "s": self.system.alphabet.decode(self.s),
+            "t": self.system.alphabet.decode(self.t),
+            "t_prime": self.system.alphabet.decode(self.t_prime),
             "m": self.m,
             "ell": self.ell,
             "d_parity": self.d_parity,
@@ -718,23 +718,18 @@ def check_boundary_inert(instance: CompiledInstance) -> None:
                 raise CompileError(f"margin window {j} is not inert")
 
 
-def compile_circuit(
-    circuit: Circuit, x: Sequence[int], m_mode: str = "paper"
-) -> CompiledInstance:
+def compile_circuit(circuit: Circuit, x: Sequence[int]) -> CompiledInstance:
     lay = layout(circuit, x)
     run = control_simulate(lay)
     s, t, t_prime = build_strings(lay, run)
     ell = run.ell
-    m = spectral.choose_m(ell, m_mode)
-    if m % 2 == ell % 2:
-        raise CompileError(f"m = {m} has the parity of ell = {ell}")
     c, epsilon = growth_constants(ell)
     instance = CompiledInstance(
         system=ClockSystem(),
         s=s,
         t=t,
         t_prime=t_prime,
-        m=m,
+        m=(ell + 1) ** 3,  # the paper's walk length, of the parity opposite to ell
         ell=ell,
         d_parity=run.d_parity,
         c=c,

@@ -29,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .clock import CompiledInstance
-from .verifier import ReachableGraph, orbit, orthonormal
+from .verifier import VERTEX_BUDGET, ReachableGraph, orbit, orthonormal
 
 MAX_DENSE_VERTICES = 4000
 
@@ -81,7 +81,7 @@ class SpectralMeasure(namedtuple("SpectralMeasure", "eigenvalues probabilities")
 
 
 def reachable_component(
-    instance: CompiledInstance, max_vertices: int = 100_000
+    instance: CompiledInstance, max_vertices: int = VERTEX_BUDGET
 ) -> ReachableGraph:
     seeds = [instance.s, instance.t, instance.t_prime]
     return ReachableGraph(instance.system, seeds, max_vertices=max_vertices)

@@ -166,28 +166,6 @@ def log_bounds(ell: int, m: int) -> tuple[float, float, bool]:
     return log_upper, log_lower, lower_valid
 
 
-def choose_m(ell: int, mode: str = "paper") -> int:
-    """Walk length for the gap-condition instance.
-
-    paper: the reference prescription (ell+1)^3, whose parity is
-    automatically opposite to ell's.
-    minimal: smallest m >= ell-1 of correct parity whose lower bound is valid.
-    sign_only: smallest m >= ell-1 of correct parity (corner entry positive).
-    """
-    _check(ell)
-    if mode == "paper":
-        return (ell + 1) ** 3
-    if mode not in ("minimal", "sign_only"):
-        raise SpectralError(f"unknown m mode {mode!r}")
-    m = ell - 1
-    while True:
-        if mode == "sign_only":
-            return m
-        if bounds(ell, m)[2]:
-            return m
-        m += 2
-
-
 def convergence_check(ell_tilde: int) -> float:
     """Value whose large-ell limit is exp(-pi^2/2), bounding the weight decay."""
     if ell_tilde < 4:

@@ -28,6 +28,9 @@ SQRT2 = math.sqrt(2.0)
 # the sign convention Delta(n) = SIGMA sqrt(2)^n <x,0|U|x,0> P^n[0, ell-1] / sqrt(1+d)
 SIGMA = -1
 
+# the most vertices a closure may hold before it is refused
+VERTEX_BUDGET = 100_000
+
 
 def sqrt2_power(n: int) -> Root2Frac:
     """Exact sqrt(2)^n for n >= 0."""
@@ -87,7 +90,7 @@ class ReachableGraph(WalkSpace):
     0/1 adjacency is built.
     """
 
-    def __init__(self, system, seeds, max_vertices: int = 100_000):
+    def __init__(self, system, seeds, max_vertices: int = VERTEX_BUDGET):
         super().__init__(system)
         for seed in seeds:
             self.intern(seed)
@@ -352,7 +355,7 @@ def sign_and_promise_check(
     """Sign decision at the smallest valid walk length, growth and gap promises."""
     ell = instance.ell
     ov = overlap(circuit, x)
-    m_sign = spectral.choose_m(ell, "sign_only")
+    m_sign = ell - 1  # the shortest walk whose corner entry is nonzero
     deltas = exact_deltas(instance, m_sign, space)
     d_sign = deltas[m_sign]
 

@@ -114,7 +114,7 @@ def test_criterion_5_sign_decision(instances):
     for circuit, x, inst in instances:
         bits = list(x) + [0] * (circuit.n_qubits - len(x))
         amp = overlap(circuit, bits)
-        m_sign = spectral.choose_m(inst.ell, "sign_only")
+        m_sign = inst.ell - 1
         delta = verifier.exact_deltas(inst, m_sign)[m_sign]
         if amp.is_zero():
             assert delta == 0

@@ -57,27 +57,6 @@ def test_compile_deterministic(workspace, capsys):
     assert out.read_bytes() == instance.read_bytes()
 
 
-def test_compile_sign_only_smaller_m(workspace, capsys):
-    root, circuit, _ = workspace
-    out = root / "sign.json"
-    code, doc = run(
-        capsys,
-        [
-            "compile",
-            "--circuit",
-            str(circuit),
-            "--input",
-            "0",
-            "--m-mode",
-            "sign_only",
-            "-o",
-            str(out),
-        ],
-    )
-    assert code == 0
-    assert doc["outputs"]["m"] <= 65**3
-
-
 def test_delta_exact_and_scaled_agree_in_sign(workspace, capsys):
     _, _, instance = workspace
     code, doc = run(capsys, ["delta", "--instance", str(instance), "--steps", "63"])
@@ -547,10 +526,17 @@ def test_resource_error_exit_3(workspace, capsys):
     assert not out.exists()
 
 
-def test_unknown_schema_exit_2(capsys):
-    code = cli.main(["--schema-version", "other", "spectral", "--ell", "2", "--m", "1"])
-    capsys.readouterr()
-    assert code == 2
+def test_removed_options_exit_2(workspace, capsys):
+    root, circuit, _ = workspace
+    compile_argv = ["compile", "--circuit", str(circuit), "--input", "0", "-o", str(root / "m.json")]
+    for argv, option in (
+        (["--schema-version=x", "spectral", "--ell", "2", "--m", "1"], "--schema-version"),
+        (compile_argv + ["--m-mode", "paper"], "--m-mode"),
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {option}" in captured.err
 
 
 def test_bad_subcommand_exit_2(capsys):
@@ -722,6 +708,7 @@ def test_spectral_corner_past_int_str_limit(capsys):
         ["--m", "-3"],
         ["--seed", "-1"],
         ["--eta", "inf"],
+        ["--eta", "1e308"],
     ],
     ids=[
         "samples-0",
@@ -731,6 +718,7 @@ def test_spectral_corner_past_int_str_limit(capsys):
         "m-negative",
         "seed-negative",
         "eta-infinite",
+        "eta-doubled-overflows",
     ],
 )
 def test_estimate_argument_out_of_range_exit_2(workspace, capsys, bad):
@@ -740,6 +728,15 @@ def test_estimate_argument_out_of_range_exit_2(workspace, capsys, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {bad[0]}: {bad[1]} is outside" in captured.err
+
+
+def test_estimate_largest_eta_runs(workspace, capsys):
+    """An eta whose double is still finite is sampled, not refused."""
+    _, _, instance = workspace
+    argv = ["estimate", "--instance", str(instance), "--eta", "1e300", "--theta", "0", "--samples", "10"]
+    code, doc = run(capsys, argv)
+    assert code == 4
+    assert doc["inputs"]["eta"] == 1e300
 
 
 def test_compile_vertex_budget_below_1_exit_2(workspace, capsys):

@@ -343,14 +343,6 @@ def test_compile_golden_constants():
         check_boundary_inert(inst)
 
 
-def test_compile_m_modes():
-    circuit = parse_circuit("qubits 1\nh 0")
-    paper = compile_circuit(circuit, [0], m_mode="paper")
-    sign_only = compile_circuit(circuit, [0], m_mode="sign_only")
-    assert sign_only.m <= paper.m
-    assert sign_only.m % 2 != sign_only.ell % 2
-
-
 def test_instance_json_round_trip(tmp_path):
     circuit = parse_circuit("qubits 1\nh 0")
     inst = compile_circuit(circuit, [0])
@@ -423,6 +415,21 @@ def test_explicit_rule_instance_loads():
     inst = CompiledInstance.from_json(doc)
     assert inst.s == (0, 0)
     assert inst.m == 2
+
+
+def test_explicit_rule_instance_round_trip(tmp_path):
+    doc = {
+        "system": {"alphabet": ["a", "b"], "window": 1, "rules": [[["a"], ["b"]]]},
+        "s": ["a", "a"], "t": ["b", "b"], "t_prime": ["a", "b"], "m": 2,
+    }
+    inst = CompiledInstance.from_json(doc)
+    path = tmp_path / "explicit.json"
+    inst.save(path)
+    saved = json.loads(path.read_text())
+    assert [saved[key] for key in ("s", "t", "t_prime")] == [["a", "a"], ["b", "b"], ["a", "b"]]
+    loaded = CompiledInstance.load(path)
+    assert loaded.system.to_json() == inst.system.to_json()
+    assert (loaded.s, loaded.t, loaded.t_prime, loaded.m) == (inst.s, inst.t, inst.t_prime, 2)
 
 
 def test_clock_system_neighbors_symmetric():

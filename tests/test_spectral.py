@@ -171,30 +171,18 @@ def test_log_bounds_contain_corner_at_large_m():
 
 
 def test_choose_m_paper():
-    assert spectral.choose_m(2, "paper") == 27
-    assert spectral.choose_m(4, "paper") == 125
+    """The paper's walk length (ell+1)^3 has the parity opposite to ell's."""
     for ell in range(2, 10):
-        m = spectral.choose_m(ell, "paper")
-        assert m == (ell + 1) ** 3
-        assert m % 2 != ell % 2
+        assert (ell + 1) ** 3 % 2 != ell % 2
 
 
 def test_choose_m_sign_only():
-    assert spectral.choose_m(3, "sign_only") == 2
+    """ell - 1, the walk length of the sign decision, is the shortest with a
+    nonzero corner entry."""
     for ell in range(2, 12):
-        m = spectral.choose_m(ell, "sign_only")
-        assert m >= ell - 1
-        assert m % 2 != ell % 2
-        assert spectral.corner_entry(ell, m)[0] > 0
-
-
-def test_choose_m_modes_ordered():
-    for ell in range(2, 12):
-        m_sign = spectral.choose_m(ell, "sign_only")
-        m_min = spectral.choose_m(ell, "minimal")
-        m_paper = spectral.choose_m(ell, "paper")
-        assert m_sign <= m_min <= m_paper
-        assert spectral.log_bounds(ell, m_min)[2]
+        assert spectral.corner_entry(ell, ell - 1)[0] > 0
+        if ell > 2:
+            assert spectral.corner_entry(ell, ell - 3)[0] == 0
 
 
 def test_lower_bound_valid_at_paper_m():
@@ -221,7 +209,5 @@ def test_rejects_bad_arguments():
         spectral.eigenvalue(4, 4)
     with pytest.raises(spectral.SpectralError):
         spectral.corner_entry(3, -1)
-    with pytest.raises(spectral.SpectralError):
-        spectral.choose_m(5, "fastest")
     with pytest.raises(spectral.SpectralError):
         spectral.convergence_check(3)
