@@ -1,9 +1,10 @@
 """Compile small quantum circuits into string-rewriting walk instances.
 
-Subpackages are organized by responsibility:
+Modules, by responsibility:
 
-- rewriting: generic substring-rewriting graphs and exact walk counting
-- circuits: exact simulation of {H, Swap, Toffoli, barrier} circuits
+- rewriting: generic substring-rewriting graphs, interned walk spaces and
+  the exact integer step A w - 2 prev
+- circuits: exact simulation of {H, Swap, Toffoli} circuits
 - clock: the circuit-to-rewriting compiler and its cell alphabet
 - spectral: path-graph eigenstructure and corner entries of its powers
 - verifier: certificate checks tying compiled instances to circuit output

@@ -271,13 +271,3 @@ def parse_circuit(text: str) -> Circuit:
     if any(not layer for layer in layers):
         raise CircuitError("empty layer between separators")
     return Circuit(n_qubits, tuple(tuple(layer) for layer in layers))
-
-
-def serialize_circuit(circuit: Circuit) -> str:
-    lines = [f"qubits {circuit.n_qubits}"]
-    for i, layer in enumerate(circuit.layers):
-        if i:
-            lines.append("---")
-        for gate in layer:
-            lines.append(f"{gate.kind} {gate.qubit}")
-    return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ import time
 from . import spectral
 from .circuits import CircuitError, SimulationTooLarge, parse_circuit
 from .clock import ClockSystem, CompiledInstance, CompileError, compile_circuit
-from .rewriting import BudgetExceeded, RewriteError
+from .rewriting import RewriteError
 from .verifier import VERTEX_BUDGET, ReachableGraph, VerifyError, exact_delta, verify
 
 SCHEMA = "walkdelta-result-1"
@@ -226,7 +226,6 @@ def main(argv=None) -> int:
         _emit(args.command, inputs, outputs, passed, time.perf_counter() - t0)
         return code
     except (
-        BudgetExceeded,
         VerifyError,
         ResourceFailure,
         SimulationTooLarge,

@@ -25,7 +25,6 @@ on the simulator track, keeping all matrix entries in {0, 1}.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
@@ -319,7 +318,7 @@ class ClockSystem:
         out: dict[bytes, int] = {}
         for j in rule_windows(s):
             triple = s[j : j + 3]
-            # no window has both (scan_rules' bidirectional count is 0)
+            # no window has both (0 bidirectional in test_criterion_2_structural_scan)
             images = forward_images(triple) or backward_images(triple)
             if images:
                 head, tail = s[:j], s[j + 3 :]
@@ -335,102 +334,6 @@ class ClockSystem:
             "window": WINDOW,
             "rules": "clock-v1",
         }
-
-
-class ScanReport(
-    namedtuple(
-        "ScanReport",
-        "triples_total windows_matched directed_pairs max_images self_pairs bidirectional",
-    )
-):
-    """Structural properties of the full rule relation.
-
-    ``windows_matched`` counts the (program, data) window classes with
-    images, ``directed_pairs`` the (sigma, tau) with tau in forward(sigma),
-    and ``bidirectional`` the triples with forward and backward images both
-    nonempty.
-    """
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.max_images <= 2 and self.self_pairs == 0 and self.bidirectional == 0
-
-
-def _expected_images(p: Sequence[int], d: Sequence[int]) -> int:
-    """Image count of a window with program track p and data track d: two
-    Hadamard branches when a rule applies and no gate annihilates.  Rules 2
-    and 6 condition on data the execution phase cannot have altered (no
-    gate fires there)."""
-    if execution_class(p[1], p[2], d[0], d[1], d[2]) == X_BOUNDARY:
-        return 0
-    return 0 if transition_match(p[1], p[2], d[1], d[2]) is None else 2
-
-
-def scan_rules(spot_checks: int = 20000, seed: int = 0) -> ScanReport:
-    """Exhaustive structural scan of the rule relation over all 224^3 triples.
-
-    The image count of a window depends only on its program and data symbols:
-    the aux/sim tracks enter the pipeline exclusively through bijections
-    (branch over a fresh bit value, conditional flips, swaps).  The scan
-    therefore walks all 14^3 x 4^3 program/data classes, verifies each with a
-    representative full pipeline call, and accounts for the 64 aux/sim
-    settings per class in bulk; ``spot_checks`` randomly sampled triples are
-    additionally run through the full pipeline to confirm the factorization.
-    """
-    import random
-
-    max_images = 0
-    self_pairs = 0
-    windows_matched = 0
-    directed = 0
-    inputs: set[tuple[int, ...]] = set()
-    outputs: set[tuple[int, ...]] = set()
-
-    for ptrip in itertools.product(range(N_PROGRAM), repeat=3):
-        for dtrip in itertools.product(range(N_DATA), repeat=3):
-            expect = _expected_images(ptrip, dtrip)
-            rep = bytes(map(make_cell, ptrip, dtrip, (0, 0, 1), (0, 1, 0)))
-            imgs = _images(rep)
-            if len(imgs) != expect:
-                raise CompileError(f"scan mismatch at {rep}: {len(imgs)} != {expect}")
-            if not imgs:
-                continue
-            windows_matched += 1
-            max_images = max(max_images, len(imgs))
-            new_p = tuple(split_cell(c)[0] for c in imgs[0])
-            if new_p == ptrip:
-                self_pairs += 1
-            inputs.add(ptrip)
-            outputs.add(new_p)
-            directed += expect * 64  # aux/sim settings
-    # no triple may admit both a forward and a backward step; since the rule
-    # patterns constrain only the program track (plus data symbols no rule
-    # rewrites), program-level disjointness of inputs and outputs settles it
-    bidirectional = len(inputs & outputs)
-
-    rng = random.Random(seed)
-    for _ in range(spot_checks):
-        trip = bytes(rng.randrange(ALPHABET_SIZE) for _ in range(3))
-        imgs = _images(trip)
-        p, d, _, _ = zip(*map(split_cell, trip))
-        if len(imgs) != _expected_images(p, d):
-            raise CompileError(f"spot check mismatch at {trip}")
-        for img in imgs:
-            if img == trip:
-                self_pairs += 1
-            if trip not in backward_images(img):
-                raise CompileError(f"reverse lookup failed for {trip} -> {img}")
-
-    return ScanReport(
-        triples_total=ALPHABET_SIZE**3,
-        windows_matched=windows_matched,
-        directed_pairs=directed,
-        max_images=max_images,
-        self_pairs=self_pairs,
-        bidirectional=bidirectional,
-    )
 
 
 class Layout(namedtuple("Layout", "block width program data register_start exec_pos")):
@@ -544,7 +447,11 @@ class ControlRun(namedtuple("ControlRun", "ell configs d_parity")):
     __slots__ = ()
 
 
-def control_simulate(lay: Layout, max_steps: int = 1_000_000) -> ControlRun:
+# the longest control run compile_circuit follows before it gives up
+MAX_CONTROL_STEPS = 1_000_000
+
+
+def control_simulate(lay: Layout) -> ControlRun:
     """Run the program band forward until the terminating annihilation.
 
     Only the program track moves; the data track enters through its fixed
@@ -556,7 +463,7 @@ def control_simulate(lay: Layout, max_steps: int = 1_000_000) -> ControlRun:
     prog = list(lay.program)
     configs = [tuple(prog)]
     dummy_steps = 0
-    for _ in range(max_steps):
+    for _ in range(MAX_CONTROL_STEPS):
         applicable = []
         annihilating = False
         for j in range(len(prog) - 2):
@@ -586,7 +493,7 @@ def control_simulate(lay: Layout, max_steps: int = 1_000_000) -> ControlRun:
             dummy_steps += 1
         prog[j + 1], prog[j + 2] = new_pair
         configs.append(tuple(prog))
-    raise CompileError(f"no termination within {max_steps} steps")
+    raise CompileError(f"no termination within {MAX_CONTROL_STEPS} steps")
 
 
 def build_strings(lay: Layout, run: ControlRun) -> tuple[bytes, bytes, bytes]:

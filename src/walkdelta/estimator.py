@@ -54,6 +54,9 @@ MAX_SAMPLES = 2**63 - 1
 MAX_OFFSETS = 1 << 30
 NOISE_CHUNK = 1 << 20
 
+# each Hoeffding half-width holds with probability at least 1 - HOEFFDING_DELTA
+HOEFFDING_DELTA = 0.05
+
 
 class EstimateError(Exception):
     pass
@@ -62,15 +65,6 @@ class EstimateError(Exception):
 def _check_endpoints(instance: CompiledInstance) -> None:
     if len({instance.s, instance.t, instance.t_prime}) < 3:
         raise EstimateError("s, t and t' must be distinct for the states to be unit vectors")
-
-
-def build_states(instance: CompiledInstance):
-    """The two unit states whose moment difference encodes Delta(m)."""
-    _check_endpoints(instance)
-    h = 1.0 / math.sqrt(2.0)
-    plus = {instance.s: h, instance.t: 0.5, instance.t_prime: -0.5}
-    minus = {instance.s: h, instance.t: -0.5, instance.t_prime: 0.5}
-    return plus, minus
 
 
 class SpectralMeasure(namedtuple("SpectralMeasure", "eigenvalues probabilities")):
@@ -259,16 +253,16 @@ def clipped_powers(x: np.ndarray, m: int, c: float) -> np.ndarray:
     return np.clip(x / c, -1.0, 1.0) ** m
 
 
-def hoeffding_samples(eps: float, delta: float = 0.05) -> int:
+def hoeffding_samples(eps: float) -> int:
     """Samples per state so the half-width is eps/2 (in units of c^m)."""
-    if not (0 < eps and 0 < delta < 1):
-        raise EstimateError("need eps > 0 and 0 < delta < 1")
-    return math.ceil((8.0 / eps**2) * math.log(2.0 / delta))
+    if not 0 < eps:
+        raise EstimateError("need eps > 0")
+    return math.ceil((8.0 / eps**2) * math.log(2.0 / HOEFFDING_DELTA))
 
 
-def hoeffding_halfwidth(samples: int, delta: float = 0.05) -> float:
-    """Half-width of one clipped-moment mean at confidence 1 - delta."""
-    return math.sqrt(2.0 * math.log(2.0 / delta) / samples)
+def hoeffding_halfwidth(samples: int) -> float:
+    """Half-width of one clipped-moment mean at confidence 1 - HOEFFDING_DELTA."""
+    return math.sqrt(2.0 * math.log(2.0 / HOEFFDING_DELTA) / samples)
 
 
 def plan_noise(eps: float, m: int, c: float) -> tuple[float, float]:
@@ -366,7 +360,6 @@ def noisy_estimate(
     theta: float,
     samples: int,
     seed: int = 0,
-    delta: float = 0.05,
 ) -> NoisyEstimate:
     """Monte Carlo estimate of Delta(m) / c^m from noise-corrupted samples.
 
@@ -384,7 +377,7 @@ def noisy_estimate(
     mean_plus = _sample_clipped(plus, m, c, eta, theta, samples, draws, noise)
     mean_minus = _sample_clipped(minus, m, c, eta, theta, samples, draws, noise)
     value = (mean_plus - mean_minus) / math.sqrt(2.0)
-    hw = math.sqrt(2.0) * hoeffding_halfwidth(samples, delta)
+    hw = math.sqrt(2.0) * hoeffding_halfwidth(samples)
     bias = math.sqrt(2.0) * bias_bound(eta, theta, m, c)
     return NoisyEstimate(value=value, bias_bound=bias, halfwidth=hw, samples=samples)
 
@@ -396,7 +389,6 @@ def estimate_with_noise(
     theta: float,
     samples: int,
     seed: int = 0,
-    delta: float = 0.05,
 ) -> tuple[NoisyEstimate, float, int, int]:
     """Full pipeline under a given noise model.
 
@@ -406,6 +398,6 @@ def estimate_with_noise(
     graph = reachable_component(instance)
     plus, minus, nodes = orbit_measures(instance, graph)
     exact = delta_moment(plus, minus, m, instance.c)
-    est = noisy_estimate(plus, minus, m, instance.c, eta, theta, samples, seed=seed, delta=delta)
+    est = noisy_estimate(plus, minus, m, instance.c, eta, theta, samples, seed=seed)
     return est, exact, len(graph), nodes
 

@@ -9,16 +9,13 @@ walks in that graph exactly, in arbitrary-precision integers.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 
 class RewriteError(Exception):
     """Malformed system, string, or query."""
-
-
-class BudgetExceeded(RewriteError):
-    """A configured enumeration or vertex budget was exhausted."""
 
 
 class Alphabet(namedtuple("Alphabet", "tokens")):
@@ -204,10 +201,6 @@ class WalkVector(namedtuple("WalkVector", "space entries")):
 
     __slots__ = ()
 
-    @classmethod
-    def basis(cls, space: WalkSpace, s: Sequence[int]) -> "WalkVector":
-        return cls(space, {space.intern(s): 1})
-
 
 def three_term(w: dict, prev: dict, neighbors) -> dict:
     """A w - 2 prev, with A w summed over the neighbours of each key of w;
@@ -230,42 +223,9 @@ def step(system, v: WalkVector) -> WalkVector:
 def _check_walk(n: int, *strings: Sequence[int]) -> None:
     if n < 0:
         raise RewriteError("walk length must be >= 0")
+    if n >= sys.maxsize:  # exact_delta takes n + 1 orbit vectors, an islice count
+        raise RewriteError(f"walk length must be < {sys.maxsize} (sys.maxsize)")
     if len({len(s) for s in strings}) > 1:
         raise RewriteError("endpoint strings differ in length")
 
-
-def count_walks(system, s: Sequence[int], t: Sequence[int], n: int) -> int:
-    """Exact (A^n)_{s,t}: the number of length-n walks from s to t."""
-    _check_walk(n, s, t)
-    space = WalkSpace(system)
-    v = WalkVector.basis(space, s)
-    for _ in range(n):
-        v = step(system, v)
-    return v.entries.get(space.index.get(t), 0)
-
-
-def brute_force_count(system, s, t, n: int, node_limit: int = 1_000_000) -> int:
-    """Reference semantics for count_walks: enumerate every length-n walk.
-
-    Depth-first; ``node_limit`` caps the number of visited search nodes so the
-    oracle stays desk-scale.
-    """
-    _check_walk(n, s, t)
-    space = WalkSpace(system)
-    target = space.intern(t)
-    visited = 0
-
-    def walk(sid: int, remaining: int) -> int:
-        nonlocal visited
-        visited += 1
-        if visited > node_limit:
-            raise BudgetExceeded(f"brute force exceeded {node_limit} nodes")
-        if remaining == 0:
-            return 1 if sid == target else 0
-        total = 0
-        for nb in space.adjacency(sid):
-            total += walk(nb, remaining - 1)
-        return total
-
-    return walk(space.intern(s), n)
 

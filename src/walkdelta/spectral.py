@@ -154,6 +154,8 @@ def log_bounds(ell: int, m: int) -> tuple[float, float, bool]:
     lam0 = eigenvalue(ell, 0)
     lam1 = eigenvalue(ell, 1)
     w0 = weight(ell, 0)
+    if w0 <= 0:  # the float sines round w_0 below 0 by ell = 1e20
+        raise SpectralError(f"w_0 = {w0} is not positive in floats at ell = {ell}")
     log_upper = m * math.log(lam0)
     log_lower = log_upper + math.log(w0)
     # the validity condition controls the interior eigenvalues, whose
@@ -164,11 +166,3 @@ def log_bounds(ell: int, m: int) -> tuple[float, float, bool]:
     else:
         lower_valid = m * (math.log(a1) - math.log(lam0)) <= math.log(w0)
     return log_upper, log_lower, lower_valid
-
-
-def convergence_check(ell_tilde: int) -> float:
-    """Value whose large-ell limit is exp(-pi^2/2), bounding the weight decay."""
-    if ell_tilde < 4:
-        raise SpectralError("need ell_tilde >= 4")
-    r = (math.pi / ell_tilde) ** 2
-    return ((1.0 - r) / (1.0 - 0.5 * r)) ** (ell_tilde**2)

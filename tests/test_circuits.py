@@ -18,8 +18,9 @@ from walkdelta.circuits import (
     apply,
     overlap,
     parse_circuit,
-    serialize_circuit,
 )
+
+from oracles import serialize_circuit
 
 
 class TestRoot2Frac:

@@ -11,7 +11,9 @@ import walkdelta
 from walkdelta import cli, estimator, spectral
 from walkdelta.circuits import overlap, parse_circuit
 from walkdelta.clock import compile_circuit
-from walkdelta.rewriting import RewritingSystem, brute_force_count
+from walkdelta.rewriting import RewritingSystem
+
+from oracles import brute_force_count
 
 
 @pytest.fixture(scope="module")
@@ -754,8 +756,25 @@ def test_delta_negative_steps_exit_2(workspace, capsys):
     assert "walk length must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", [sys.maxsize, 10**30])
+def test_delta_steps_past_maxsize_exit_2(workspace, capsys, steps):
+    # exit 1 would read as a negative sign; the walk is past what islice counts
+    _, _, instance = workspace
+    assert cli.main(["delta", "--instance", str(instance), "--steps", str(steps)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"parse error: walk length must be < {sys.maxsize} (sys.maxsize)\n"
+
+
 @pytest.mark.parametrize(
-    "ell,m", [("1", "3"), ("5", "-1"), ("64", "11"), ("64", "100"), ("64", "274626")]
+    "ell,m",
+    [
+        ("1", "3"),
+        ("5", "-1"),
+        ("64", "11"),
+        ("64", "100"),
+        ("64", "274626"),
+        (str(10**20), str(10**20 + 1)),  # w_0 rounds below 0 in floats
+    ],
 )
 def test_spectral_bad_arguments_exit_2(monkeypatch, capsys, ell, m):
     def refused(*args):  # a bad m is rejected before the corner entry is summed

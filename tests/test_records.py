@@ -4,10 +4,12 @@ immutability, as the plain and namedtuple classes give them."""
 import pytest
 
 from walkdelta.circuits import R2_ONE, Circuit, CircuitError, Gate, Root2Frac
-from walkdelta.clock import CompiledInstance, ControlRun, Layout, ScanReport
+from walkdelta.clock import CompiledInstance, ControlRun, Layout
 from walkdelta.estimator import NoisyEstimate, SpectralMeasure
 from walkdelta.rewriting import Alphabet, RewriteError, Rule, WalkVector
 from walkdelta.verifier import Check, VerificationReport
+
+from oracles import ScanReport
 
 H0 = Gate("h", 0)
 

@@ -4,18 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from walkdelta.rewriting import (
     Alphabet,
-    BudgetExceeded,
     RewriteError,
     RewritingSystem,
     Rule,
     WalkSpace,
     WalkVector,
-    brute_force_count,
-    count_walks,
     step,
     symmetric_close,
     three_term,
 )
+
+from oracles import BudgetExceeded, brute_force_count, count_walks
 
 AB = Alphabet(("a", "b"))
 
@@ -135,7 +134,7 @@ def test_neighbor_symmetry(pair):
 def test_matches_brute_force(pair, n):
     sys_, s = pair
     space = WalkSpace(sys_)
-    v = WalkVector.basis(space, s)
+    v = WalkVector(space, {space.intern(s): 1})
     for _ in range(n):
         v = step(sys_, v)
     targets = {space.strings[sid] for sid in v.entries} | {s}
@@ -149,7 +148,7 @@ def test_chapman_kolmogorov(pair, n1, n2):
     # (A^(n1+n2))_{s,t} = sum_u (A^n1)_{s,u} (A^n2)_{u,t}
     sys_, s = pair
     space = WalkSpace(sys_)
-    v = WalkVector.basis(space, s)
+    v = WalkVector(space, {space.intern(s): 1})
     for _ in range(n1):
         v = step(sys_, v)
     mid = {space.strings[sid]: c for sid, c in v.entries.items()}
