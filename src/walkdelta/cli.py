@@ -20,7 +20,7 @@ from . import spectral
 from .circuits import CircuitError, SimulationTooLarge, parse_circuit
 from .clock import ClockSystem, CompiledInstance, CompileError, compile_circuit
 from .rewriting import RewriteError
-from .verifier import VERTEX_BUDGET, ReachableGraph, VerifyError, exact_delta, verify
+from .verifier import VERTEX_BUDGET, VerifyError, component_size, exact_delta, verify
 
 SCHEMA = "walkdelta-result-1"
 
@@ -62,7 +62,7 @@ def cmd_compile(args) -> tuple[dict, dict, bool | None, int]:
         instance = compile_circuit(circuit, x)
     except (CompileError, spectral.SpectralError) as exc:
         raise ResourceFailure(str(exc))
-    graph = ReachableGraph(
+    vertices = component_size(
         instance.system,
         [instance.s, instance.t, instance.t_prime],
         max_vertices=args.vertex_budget,
@@ -77,7 +77,7 @@ def cmd_compile(args) -> tuple[dict, dict, bool | None, int]:
         "length": instance.length,
         "alphabet_size": len(instance.system.alphabet.tokens),
         "window": instance.system.window,
-        "reachable_vertices": len(graph),
+        "reachable_vertices": vertices,
     }
     inputs = {"circuit": args.circuit, "input": args.input}
     return inputs, outputs, True, EXIT_OK

@@ -143,6 +143,7 @@ RULE_CODES = frozenset((p0 << 4) | p1 for p0, p1 in RULE_PAIRS)
 # and TURN), every pair in RULE_PAIRS holds exactly one, and their cells
 SIGNALS = range(MARK_I, BLANK)
 SIGNAL_CELLS = re.compile(rb"[\x50-\xcf]")  # c >> 4 in SIGNALS (split_cell)
+BAND = bytes(c & 0xF0 for c in range(256))  # s.translate(BAND): the program band of s
 
 
 def rule_windows(s: bytes) -> list[int]:
@@ -309,6 +310,20 @@ class ClockSystem:
 
     def __init__(self):
         self.alphabet = clock_alphabet()
+        self._windows: dict[bytes, tuple[tuple[int, object], ...]] = {}
+
+    def windows(self, s: bytes) -> tuple[tuple[int, object], ...]:
+        """(j, images) for each j in ``rule_windows(s)``, cached per program
+        band. No pair is read both by TRANSITIONS and by PREDECESSORS, so a
+        window's pair fixes the one image cache that can give it images."""
+        band = s.translate(BAND)
+        found = self._windows.get(band)
+        if found is None:
+            pairs = ((j, (s[j + 1] >> 4, s[j + 2] >> 4)) for j in rule_windows(s))
+            found = self._windows[band] = tuple(
+                (j, forward_images if p in TRANSITIONS else backward_images) for j, p in pairs
+            )
+        return found
 
     def neighbors(self, s: bytes) -> set[bytes]:
         return set(self.weighted_neighbors(s))
@@ -316,10 +331,8 @@ class ClockSystem:
     def weighted_neighbors(self, s: bytes) -> dict[bytes, int]:
         """Neighbors with the number of distinct window derivations."""
         out: dict[bytes, int] = {}
-        for j in rule_windows(s):
-            triple = s[j : j + 3]
-            # no window has both (0 bidirectional in test_criterion_2_structural_scan)
-            images = forward_images(triple) or backward_images(triple)
+        for j, images_of in self.windows(s):
+            images = images_of(s[j : j + 3])
             if images:
                 head, tail = s[:j], s[j + 3 :]
                 for img in images:

@@ -184,7 +184,9 @@ class WalkSpace:
             nbrs = self.system.weighted_neighbors(self.strings[sid])
             if sum(nbrs.values()) != len(nbrs):
                 self.multiple.add(sid)
-            cached = self.adj[sid] = tuple(sorted(map(self.intern, nbrs)))
+            get, intern = self.index.get, self.intern
+            ids = (i if (i := get(t)) is not None else intern(t) for t in nbrs)
+            cached = self.adj[sid] = tuple(sorted(ids))
         return cached
 
     def __len__(self):
@@ -217,7 +219,10 @@ def step(system, v: WalkVector) -> WalkVector:
     """Multiply by the adjacency matrix once: one replacement everywhere."""
     if v.space.system is not system:
         raise RewriteError("vector belongs to a different system")
-    return WalkVector(v.space, three_term(v.entries, {}, v.space.adjacency))
+    for x in v.entries:  # the misses first, in order: ids are interned as before
+        if v.space.adj[x] is None:
+            v.space.adjacency(x)
+    return WalkVector(v.space, three_term(v.entries, {}, v.space.adj.__getitem__))
 
 
 def _check_walk(n: int, *strings: Sequence[int]) -> None:

@@ -15,7 +15,7 @@ from itertools import islice
 
 from . import spectral
 from .circuits import Circuit, R2_INV_SQRT2, R2_ONE, Root2Frac, overlap
-from .clock import CompiledInstance, backward_images, forward_images, rule_windows
+from .clock import CompiledInstance, backward_images, forward_images
 from .rewriting import WalkSpace, WalkVector, _check_walk, step, three_term
 
 
@@ -94,12 +94,24 @@ class ReachableGraph(WalkSpace):
         super().__init__(system)
         for seed in seeds:
             self.intern(seed)
-        sid = 0
-        while sid < len(self):
+        for sid, _ in enumerate(self.strings):  # breadth first: the list grows while it is read
             self.adjacency(sid)
-            if len(self) > max_vertices:
+            if len(self.strings) > max_vertices:
                 raise VerifyError(f"reachable set exceeds {max_vertices} vertices")
-            sid += 1
+
+
+def component_size(system, seeds, max_vertices: int = VERTEX_BUDGET) -> int:
+    """len(ReachableGraph(system, seeds, max_vertices)) and its budget error, from a set alone."""
+    seen = set(seeds)
+    found = list(seen)
+    for s in found:
+        for t in system.weighted_neighbors(s):
+            if t not in seen:
+                seen.add(t)
+                found.append(t)
+        if len(seen) > max_vertices:
+            raise VerifyError(f"reachable set exceeds {max_vertices} vertices")
+    return len(seen)
 
 
 def _forward_step(space: WalkSpace, w: dict[int, int]) -> tuple[dict[int, int], bool]:
@@ -113,8 +125,8 @@ def _forward_step(space: WalkSpace, w: dict[int, int]) -> tuple[dict[int, int], 
     for sid, coef in w.items():
         s = space.strings[sid]
         active_windows = 0
-        for j in rule_windows(s):
-            imgs = forward_images(s[j : j + 3])
+        for j, images_of in space.system.windows(s):
+            imgs = images_of(s[j : j + 3]) if images_of is forward_images else ()
             active_windows += bool(imgs)
             for img in imgs:
                 t = space.intern(s[:j] + img + s[j + 3 :])

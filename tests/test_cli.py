@@ -750,6 +750,22 @@ def test_compile_vertex_budget_below_1_exit_2(workspace, capsys):
     assert not out.exists()
 
 
+def test_compile_budget_one_below_the_component_exit_3(workspace, capsys):
+    # the h 0 component has 512 strings: a budget of 511 refuses it, 512 takes it
+    root, circuit, _ = workspace
+    out = root / "edge.json"
+    argv = ["compile", "--circuit", str(circuit), "--input", "0", "-o", str(out)]
+    assert cli.main(argv + ["--vertex-budget", "511"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "reachable set exceeds 511 vertices" in captured.err
+    assert not out.exists()
+    code, doc = run(capsys, argv + ["--vertex-budget", "512"])
+    assert code == 0
+    assert doc["outputs"]["reachable_vertices"] == 512
+    assert out.exists()
+
+
 def test_delta_negative_steps_exit_2(workspace, capsys):
     _, _, instance = workspace
     assert cli.main(["delta", "--instance", str(instance), "--steps", "-1"]) == 2

@@ -25,9 +25,11 @@ from walkdelta.clock import (
     N_DATA,
     N_PROGRAM,
     PLAIN,
+    PREDECESSORS,
     PROGRAM_NAMES,
     RIGHT,
     SEP,
+    TRANSITIONS,
     TURN,
     WINDOW,
     ClockSystem,
@@ -217,28 +219,45 @@ def test_backward_images_match_the_enumeration_oracle():
 
 
 def test_cold_fill_asks_each_window_once(monkeypatch):
-    # from empty caches, a walk asks each window it meets forward once, and
-    # backward only when it has no forward images
+    # from empty caches, a walk finds the rule windows of each program band
+    # once, and asks each window it meets once, in the one direction that
+    # reads its program pair
     inst = compile_circuit(parse_circuit("qubits 2\nh 0\n---\nswap 0"), [0, 0])
     assert inst.ell == 252
-    windows, backward, seen = clock.rule_windows, clock.backward_images, set()
+    windows, neighbors = clock.rule_windows, inst.system.weighted_neighbors
+    bands, strings = [], []
+    asked = {forward_images: set(), backward_images: set()}
 
-    def recording(s):
-        found = windows(s)
-        seen.update(s[j : j + 3] for j in found)
-        return found
+    def recording_windows(s):
+        bands.append(s.translate(clock.BAND))
+        return windows(s)
 
-    def backward_only(window):
-        assert not forward_images(window), window
-        return backward(window)
+    def recording_neighbors(s):
+        strings.append(s)
+        return neighbors(s)
 
-    monkeypatch.setattr(clock, "rule_windows", recording)
-    monkeypatch.setattr(clock, "backward_images", backward_only)
+    def asking(images, reads):
+        def ask(window):
+            assert (window[1] >> 4, window[2] >> 4) in reads, window
+            asked[images].add(window)
+            return images(window)
+
+        return ask
+
+    monkeypatch.setattr(clock, "rule_windows", recording_windows)
+    monkeypatch.setattr(clock, "forward_images", asking(forward_images, TRANSITIONS))
+    monkeypatch.setattr(clock, "backward_images", asking(backward_images, PREDECESSORS))
+    monkeypatch.setattr(inst.system, "weighted_neighbors", recording_neighbors)
     forward_images.cache_clear()
-    backward.cache_clear()
+    backward_images.cache_clear()
     verifier.exact_delta(inst, 253)
-    assert forward_images.cache_info().misses == len(seen) == 1122
-    assert backward.cache_info().misses == 562
+    assert len(bands) == len(set(bands)) == len({s.translate(clock.BAND) for s in strings}) == 252
+    met = {s[j : j + 3] for s in strings for j in windows(s)}
+    assert asked[forward_images].isdisjoint(asked[backward_images])
+    assert asked[forward_images] | asked[backward_images] == met
+    assert forward_images.cache_info().misses == len(asked[forward_images]) == 562
+    assert backward_images.cache_info().misses == len(asked[backward_images]) == 560
+    assert len(met) == 1122
 
 
 def test_a_tuple_window_never_gives_other_images():
