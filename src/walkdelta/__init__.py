@@ -2,8 +2,8 @@
 
 Modules, by responsibility:
 
-- rewriting: generic substring-rewriting graphs, interned walk spaces and
-  the exact integer step A w - 2 prev
+- rewriting: generic substring-rewriting graphs, string-keyed walk spaces
+  and the exact integer step A w - 2 prev
 - circuits: exact simulation of {H, Swap, Toffoli} circuits
 - clock: the circuit-to-rewriting compiler and its cell alphabet
 - spectral: path-graph eigenstructure and corner entries of its powers

@@ -44,9 +44,10 @@ def _emit(command: str, inputs: dict, outputs: dict, passed: bool | None, second
     sys.stdout.write("\n")
 
 
-def _parse_bits(text: str) -> list[int]:
-    if not text or any(ch not in "01" for ch in text):
-        raise CircuitError(f"input must be a nonempty 0/1 string, got {text!r}")
+def _parse_bits(text: str, n_qubits: int) -> list[int]:
+    """One bit per qubit from the first on; the qubits past them start at 0."""
+    if not 0 < len(text) <= n_qubits or any(ch not in "01" for ch in text):
+        raise CircuitError(f"input must be 1 to {n_qubits} bits, each 0 or 1, got {text!r}")
     return [int(ch) for ch in text]
 
 
@@ -57,7 +58,7 @@ def _load_circuit(path: str):
 
 def cmd_compile(args) -> tuple[dict, dict, bool | None, int]:
     circuit = _load_circuit(args.circuit)
-    x = _parse_bits(args.input)
+    x = _parse_bits(args.input, circuit.n_qubits)
     try:
         instance = compile_circuit(circuit, x)
     except (CompileError, spectral.SpectralError) as exc:
@@ -97,7 +98,7 @@ def cmd_verify(args) -> tuple[dict, dict, bool | None, int]:
     if not isinstance(instance.system, ClockSystem):
         raise CompileError("verify needs a compiled instance, not one with explicit rules")
     circuit = _load_circuit(args.circuit)
-    x = _parse_bits(args.input)
+    x = _parse_bits(args.input, circuit.n_qubits)
     report = verify(instance, circuit, x)
     inputs = {"instance": args.instance, "circuit": args.circuit, "input": args.input}
     passed = report.all_passed

@@ -326,6 +326,7 @@ class ClockSystem:
         return found
 
     def neighbors(self, s: bytes) -> set[bytes]:
+        """Set form of ``weighted_neighbors``, which ``bench/tracing.py`` wraps by name."""
         return set(self.weighted_neighbors(s))
 
     def weighted_neighbors(self, s: bytes) -> dict[bytes, int]:

@@ -98,8 +98,7 @@ def spectral_measure(graph: ReachableGraph, state: dict) -> SpectralMeasure:
         if n > MAX_DENSE_VERTICES:
             raise EstimateError(f"component has {n} vertices, guard is {MAX_DENSE_VERTICES}")
         adjacency = np.zeros((n, n))
-        for i, row in enumerate(graph.adj):
-            adjacency[i, list(row)] = 1.0
+        adjacency[_edges(graph)] = 1.0
         decomposition = _eigen[graph] = np.linalg.eigh(adjacency)
     eigenvalues, vectors = decomposition
     amp = np.zeros(len(graph))
@@ -135,12 +134,17 @@ def _path_eigvec_entries(k: int, j: int) -> np.ndarray:
     return math.sqrt(2.0 / (k + 1)) * np.sin(np.pi * ((i * (j + 1)) % (2 * (k + 1))) / (k + 1))
 
 
+def _edges(graph: ReachableGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) positions of the ones of the component's adjacency."""
+    n, index = len(graph), graph.index
+    rows = np.repeat(np.arange(n), np.fromiter(map(len, graph.adj), dtype=np.intp, count=n))
+    cols = map(index.__getitem__, chain.from_iterable(graph.adj))
+    return rows, np.fromiter(cols, dtype=np.intp, count=len(rows))
+
+
 def _adjacency_operator(graph: ReachableGraph):
     """v -> A v for the 0/1 adjacency of the component, from its edge list."""
-    n = len(graph)
-    degrees = np.fromiter(map(len, graph.adj), dtype=np.intp, count=n)
-    cols = np.fromiter(chain.from_iterable(graph.adj), dtype=np.intp, count=int(degrees.sum()))
-    rows = np.repeat(np.arange(n), degrees)
+    (rows, cols), n = _edges(graph), len(graph)
     return lambda v: np.bincount(rows, weights=v[cols], minlength=n)
 
 
@@ -183,8 +187,8 @@ def orbit_measures(
     """The spectral measures of psi+- = (e_s +- u_0) / sqrt(2), without the
     eigendecomposition of the component, and the number of Gauss nodes.
 
-    The orbit w_j of e_t - e_t' (``verifier.orbit``, on the component's ids
-    and its cached adjacency) gives u_j = w_j / sqrt(2)^(j+1). Its supports
+    The orbit w_j of e_t - e_t' (``verifier.orbit``, from the component's
+    cached adjacency) gives u_j = w_j / sqrt(2)^(j+1). Its supports
     must be disjoint and |w_j|^2 = 2^(j+1) (``verifier.orthonormal``): the
     u_j are then orthonormal, and
     the orbit stops inside the finite component, after ell neighbour
@@ -200,7 +204,7 @@ def orbit_measures(
     so their difference has no remainder term.
     """
     _check_endpoints(instance)
-    s = graph.index[instance.s]
+    s = instance.s
     # (j, w_j) for the one support that holds s, if any: the supports being
     # disjoint, a_j is zero for every other j
     k, hit = 0, None
@@ -212,13 +216,13 @@ def orbit_measures(
     first = _path_eigvec_entries(k, 0)
     proj = np.zeros(k)  # q_i . a for every i
     remainder = np.zeros(len(graph))
-    remainder[s] = 1.0
+    remainder[graph.index[s]] = 1.0
     if hit is not None:
         j, w = hit
         a = _unit_entry(w[s], j)
         proj = a * _path_eigvec_entries(k, j)
         for x, c in w.items():
-            remainder[x] -= a * _unit_entry(c, j)
+            remainder[graph.index[x]] -= a * _unit_entry(c, j)
     nodes, weights = gauss_rule(_adjacency_operator(graph), remainder)
     eigenvalues = np.concatenate([_path_spectrum(k), nodes])
     half = weights / 2

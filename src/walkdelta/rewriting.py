@@ -97,16 +97,9 @@ class RewritingSystem:
                 by_lhs[lhs] = sorted(by_lhs[lhs])
         self._index = index
 
-    def neighbors(self, s: tuple[int, ...]) -> set[tuple[int, ...]]:
-        """All strings reachable from ``s`` by one in-place replacement.
-
-        Each neighbor appears once even when derivable at several positions;
-        the adjacency matrix is 0/1.
-        """
-        return set(self.weighted_neighbors(s))
-
     def weighted_neighbors(self, s: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """Neighbors with the number of distinct window/rule derivations."""
+        """All strings one in-place replacement away from ``s``, each with its
+        number of distinct window/rule derivations (the adjacency is 0/1)."""
         if len(s) < self.window:
             raise RewriteError(f"string shorter than window: {len(s)} < {self.window}")
         out: dict[tuple[int, ...], int] = {}
@@ -149,56 +142,47 @@ class RewritingSystem:
 
 
 class WalkSpace:
-    """String interning plus a per-vertex adjacency cache.
+    """Per-string adjacency cache, with one shared object per string.
 
     For walks that revisit the same strings every step, as ``exact_deltas``
-    does; ``verifier.ReachableGraph`` expands it to a whole component. Interning
-    keys all maps by small integers and the adjacency of each vertex is
-    generated once, on first use. ``strings[i]`` is the string of id i, in
-    the system's form (symbol tuples, or bytes for the clock system),
-    ``index`` maps it back, and ``adj[i]`` holds the sorted neighbor ids of
-    i, or None until first asked for. ``multiple`` holds the ids whose
-    generated adjacency had a neighbor derivable in more than one way; the
-    0/1 adjacency counts such an edge once.
+    does. Strings are in the system's form (symbol tuples, or bytes for the
+    clock system). ``seen`` gives each string met its one object, so a
+    neighbour reached from many strings is stored once; ``len`` counts
+    them. ``adj[s]`` holds the neighbour strings of s, generated on first
+    use. ``multiple`` holds the strings whose generated adjacency had a
+    neighbor derivable in more than one way; the 0/1 adjacency counts such
+    an edge once.
     """
 
     def __init__(self, system):
         self.system = system
-        self.index: dict[Sequence[int], int] = {}
-        self.strings: list[Sequence[int]] = []
-        self.adj: list[tuple[int, ...] | None] = []
-        self.multiple: set[int] = set()
+        self.seen: dict[Sequence[int], Sequence[int]] = {}
+        self.adj: dict[Sequence[int], tuple[Sequence[int], ...]] = {}
+        self.multiple: set[Sequence[int]] = set()
 
-    def intern(self, s: Sequence[int]) -> int:
-        sid = self.index.get(s)
-        if sid is None:
-            sid = len(self.strings)
-            self.index[s] = sid
-            self.strings.append(s)
-            self.adj.append(None)
-        return sid
+    def canonical(self, s: Sequence[int]) -> Sequence[int]:
+        """The one object of s: s itself when it is new."""
+        return self.seen.setdefault(s, s)
 
-    def adjacency(self, sid: int) -> tuple[int, ...]:
-        cached = self.adj[sid]
+    def adjacency(self, s: Sequence[int]) -> tuple[Sequence[int], ...]:
+        cached = self.adj.get(s)
         if cached is None:
-            nbrs = self.system.weighted_neighbors(self.strings[sid])
+            nbrs = self.system.weighted_neighbors(s)
             if sum(nbrs.values()) != len(nbrs):
-                self.multiple.add(sid)
-            get, intern = self.index.get, self.intern
-            ids = (i if (i := get(t)) is not None else intern(t) for t in nbrs)
-            cached = self.adj[sid] = tuple(sorted(ids))
+                self.multiple.add(s)
+            cached = self.adj[s] = tuple(map(self.seen.setdefault, nbrs, nbrs))
         return cached
 
     def __len__(self):
-        return len(self.strings)
+        return len(self.seen)
 
 
 class WalkVector(namedtuple("WalkVector", "space entries")):
     """A^n times an integer start vector, on the strings seen so far.
 
     The start is e_s for a walk from s (a column of A^n) or a signed vector
-    such as e_t - e_t'. Entries map interned string ids to exact integers;
-    zero entries are never stored.
+    such as e_t - e_t'. Entries map strings of the walk space (its
+    canonical objects) to exact integers; zero entries are never stored.
     """
 
     __slots__ = ()
@@ -219,8 +203,8 @@ def step(system, v: WalkVector) -> WalkVector:
     """Multiply by the adjacency matrix once: one replacement everywhere."""
     if v.space.system is not system:
         raise RewriteError("vector belongs to a different system")
-    for x in v.entries:  # the misses first, in order: ids are interned as before
-        if v.space.adj[x] is None:
+    for x in v.entries:  # the misses first, so the sum reads the cache alone
+        if x not in v.space.adj:
             v.space.adjacency(x)
     return WalkVector(v.space, three_term(v.entries, {}, v.space.adj.__getitem__))
 

@@ -83,21 +83,34 @@ class VerificationReport:
         }
 
 
-class ReachableGraph(WalkSpace):
-    """Closure of the rewriting relation around seed strings.
-
-    A walk space whose seeds are expanded breadth-first until every vertex's
-    0/1 adjacency is built.
-    """
+class ReachableGraph:
+    """Closure of the rewriting relation around seed strings, searched
+    breadth-first. ``strings`` lists the vertices in search order, ``index``
+    gives their positions, for the estimator's numpy arrays (its A v sums
+    each row in ``adj``'s order), and ``adj[i]`` the neighbours of
+    ``strings[i]`` by position, each as its one object ``strings[index[t]]``."""
 
     def __init__(self, system, seeds, max_vertices: int = VERTEX_BUDGET):
-        super().__init__(system)
+        self.system, self.strings, self.index, self.adj = system, [], {}, []
         for seed in seeds:
-            self.intern(seed)
-        for sid, _ in enumerate(self.strings):  # breadth first: the list grows while it is read
-            self.adjacency(sid)
+            self.canonical(seed)
+        for s in self.strings:  # breadth first: the list grows while it is read
+            row = map(self.canonical, system.weighted_neighbors(s))
+            self.adj.append(tuple(sorted(row, key=self.index.__getitem__)))
             if len(self.strings) > max_vertices:
                 raise VerifyError(f"reachable set exceeds {max_vertices} vertices")
+
+    def canonical(self, s):
+        i = self.index.setdefault(s, len(self.strings))
+        if i == len(self.strings):
+            self.strings.append(s)
+        return self.strings[i]
+
+    def adjacency(self, s) -> tuple:
+        return self.adj[self.index[s]]
+
+    def __len__(self):
+        return len(self.strings)
 
 
 def component_size(system, seeds, max_vertices: int = VERTEX_BUDGET) -> int:
@@ -114,22 +127,21 @@ def component_size(system, seeds, max_vertices: int = VERTEX_BUDGET) -> int:
     return len(seen)
 
 
-def _forward_step(space: WalkSpace, w: dict[int, int]) -> tuple[dict[int, int], bool]:
-    """Apply the forward operator F to an integer vector keyed by id.
+def _forward_step(space: WalkSpace, w: dict) -> tuple[dict, bool]:
+    """Apply the forward operator F to an integer vector keyed by string.
 
     Also reports whether every support string had its forward images in
     at most one window (the clockwork uniqueness property).
     """
-    out: dict[int, int] = {}
+    out: dict = {}
     unique = True
-    for sid, coef in w.items():
-        s = space.strings[sid]
+    for s, coef in w.items():
         active_windows = 0
         for j, images_of in space.system.windows(s):
             imgs = images_of(s[j : j + 3]) if images_of is forward_images else ()
             active_windows += bool(imgs)
             for img in imgs:
-                t = space.intern(s[:j] + img + s[j + 3 :])
+                t = space.canonical(s[:j] + img + s[j + 3 :])
                 out[t] = out.get(t, 0) + coef
         unique = unique and active_windows <= 1
     return {t: c for t, c in out.items() if c}, unique
@@ -142,7 +154,7 @@ def orbit_check(
 
     The orbit u_0 = (t - t') / sqrt(2), u_{j+1} = F u_j / sqrt(2) is held as
     the integer vectors w_j = sqrt(2)^(j+1) u_j = F^j (e_t - e_t') on the
-    ids of the given walk space (or a new one). Verifies no backward step
+    strings of the given walk space (or a new one). Verifies no backward step
     out of the initial strings, termination after ell steps, orthonormality
     (|w_j|^2 = 2^(j+1), disjoint supports) and A w_j - 2 w_{j-1} = w_{j+1},
     the recurrence that ``exact_delta`` sums over, with single derivations:
@@ -160,7 +172,7 @@ def orbit_check(
                 bad.append((label, j))
     report.add("no_backward_step_from_start", not bad, offending=bad)
 
-    w = [{space.intern(x): c for x, c in _difference(instance).items()}]
+    w = [{space.canonical(x): c for x, c in _difference(instance).items()}]
     unique_all = True
     for i in range(ell - 1):
         nxt, unique = _forward_step(space, w[-1])
@@ -228,8 +240,8 @@ def exact_deltas(
     _check_walk(max_n, instance.s, instance.t, instance.t_prime)
     if space is None:
         space = WalkSpace(instance.system)
-    sid = space.intern(instance.s)
-    dist, frontier = {sid: 0}, [sid]
+    s = space.canonical(instance.s)
+    dist, frontier = {s: 0}, [s]
     for d in range(1, max_n + 1):
         layer = []
         for x in frontier:
@@ -238,34 +250,31 @@ def exact_deltas(
                     dist[y] = d
                     layer.append(y)
         frontier = layer
-    b = {space.intern(x): c for x, c in _difference(instance).items()}
+    b = {space.canonical(x): c for x, c in _difference(instance).items()}
     deltas = []
     for n in range(max_n + 1):
         if n:
             b = step(instance.system, WalkVector(space, b)).entries
         reach = max_n - n
         b = {x: c for x, c in b.items() if dist.get(x, reach + 1) <= reach}
-        deltas.append(b.get(sid, 0))
+        deltas.append(b.get(s, 0))
     return deltas
 
 
-def orbit(instance: CompiledInstance, space: WalkSpace | None = None) -> Iterator[dict]:
+def orbit(instance: CompiledInstance, graph: ReachableGraph | None = None) -> Iterator[dict]:
     """The three-term orbit w_0 = e_t - e_t', w_{j+1} = A w_j - 2 w_{j-1}.
 
-    Yields each w_j until the next one is zero; A w_j is formed only when
-    w_{j+1} is asked for. Without a walk space the w_j are keyed by string
-    and A w_j comes from ``weighted_neighbors``, nothing interned: the orbit
-    never revisits a vector, and only w_{j-1} and w_j are held. With one
-    they are keyed by its ids and A w_j comes from its adjacency cache, as
-    the estimator reads the orbit from the closure it has built. On a
-    compiled instance this is the forward orbit of ``orbit_check``, of ell
-    vectors. ``exact_delta`` reads w_j[s] from it, and the estimator its
-    span.
+    Yields each w_j, keyed by string, until the next one is zero; A w_j is
+    formed only when w_{j+1} is asked for. Without a closure A w_j comes
+    from ``weighted_neighbors`` and nothing is cached: the orbit never
+    revisits a vector, and only w_{j-1} and w_j are held. With one it comes
+    from the closure's adjacency, as the estimator reads the orbit from the
+    closure it has built. On a compiled instance this is the forward
+    orbit of ``orbit_check``, of ell vectors. ``exact_delta`` reads w_j[s]
+    from it, and the estimator its span.
     """
-    w, neighbors = _difference(instance), instance.system.weighted_neighbors
-    if space is not None:
-        w, neighbors = {space.intern(x): c for x, c in w.items()}, space.adjacency
-    prev = {}
+    w, prev = _difference(instance), {}
+    neighbors = instance.system.weighted_neighbors if graph is None else graph.adjacency
     while w:
         yield w
         prev, w = w, three_term(w, prev, neighbors)

@@ -138,10 +138,10 @@ def count_walks(system, s: Sequence[int], t: Sequence[int], n: int) -> int:
     """Exact (A^n)_{s,t}: the number of length-n walks from s to t."""
     _check_walk(n, s, t)
     space = WalkSpace(system)
-    v = WalkVector(space, {space.intern(s): 1})
+    v = WalkVector(space, {space.canonical(s): 1})
     for _ in range(n):
         v = step(system, v)
-    return v.entries.get(space.index.get(t), 0)
+    return v.entries.get(t, 0)
 
 
 def brute_force_count(system, s, t, n: int, node_limit: int = 1_000_000) -> int:
@@ -152,22 +152,21 @@ def brute_force_count(system, s, t, n: int, node_limit: int = 1_000_000) -> int:
     """
     _check_walk(n, s, t)
     space = WalkSpace(system)
-    target = space.intern(t)
     visited = 0
 
-    def walk(sid: int, remaining: int) -> int:
+    def walk(x: Sequence[int], remaining: int) -> int:
         nonlocal visited
         visited += 1
         if visited > node_limit:
             raise BudgetExceeded(f"brute force exceeded {node_limit} nodes")
         if remaining == 0:
-            return 1 if sid == target else 0
+            return 1 if x == t else 0
         total = 0
-        for nb in space.adjacency(sid):
+        for nb in space.adjacency(x):
             total += walk(nb, remaining - 1)
         return total
 
-    return walk(space.intern(s), n)
+    return walk(space.canonical(s), n)
 
 
 def build_states(instance: CompiledInstance):

@@ -409,6 +409,22 @@ def test_directory_path_exit_2(workspace, tmp_path, capsys, command):
     assert captured.err.startswith("parse error:")
 
 
+@pytest.mark.parametrize("command", ["verify", "compile"])
+def test_more_input_bits_than_qubits_exit_2(workspace, tmp_path, capsys, command):
+    # both commands check the bit count of --input against the circuit
+    _, circuit, instance = workspace
+    out = tmp_path / "never.json"
+    if command == "verify":
+        argv = ["verify", "--instance", str(instance), "--circuit", str(circuit), "--input", "01"]
+    else:
+        argv = ["compile", "--circuit", str(circuit), "--input", "01", "-o", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: input must be 1 to 1 bits, each 0 or 1, got '01'\n"
+    assert not out.exists()
+
+
 def test_explicit_rules_past_a_byte_of_symbols(tmp_path, capsys):
     # 300 tokens, so no string is bytes: the walks run on symbol tuples,
     # through symbols 256 and 299, and delta still counts them exactly

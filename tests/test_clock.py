@@ -415,7 +415,7 @@ def test_strings_are_bytes_exactly_for_the_clock_system(tmp_path):
         "system": {"alphabet": ["a", "b"], "window": 1, "rules": [[["a"], ["b"]]]},
         "s": ["a", "a"], "t": ["b", "b"], "t_prime": ["a", "b"], "m": 2,
     })
-    strings = (explicit.s, explicit.t, explicit.t_prime, *explicit.system.neighbors(explicit.t))
+    strings = (explicit.s, explicit.t, explicit.t_prime, *explicit.system.weighted_neighbors(explicit.t))
     assert {type(s) for s in strings} == {tuple}
 
 

@@ -258,10 +258,10 @@ def test_orbit_measures_read_the_closure(monkeypatch):
     assert calls == []
     assert (len(plus.eigenvalues), nodes) == (inst.ell + QUADRATURE_NODES, QUADRATURE_NODES)
     monkeypatch.undo()
-    # the string-keyed orbit is the same orbit on the closure's ids
-    by_id = verifier.orbit(inst, graph)
-    for w, v in zip(verifier.orbit(inst), by_id, strict=True):
-        assert {graph.index[x]: c for x, c in w.items()} == v
+    # the orbit from the closure's adjacency is the orbit from weighted_neighbors
+    cached = verifier.orbit(inst, graph)
+    for w, v in zip(verifier.orbit(inst), cached, strict=True):
+        assert w == v
 
 
 @pytest.mark.slow
@@ -301,10 +301,10 @@ def walk_moments(graph, state, top: int) -> list[float]:
     space = WalkSpace(graph.system)
     terms = [[] for _ in range(top + 1)]
     for x, px in state.items():
-        v = WalkVector(space, {space.intern(x): 1})
+        v = WalkVector(space, {space.canonical(x): 1})
         for n in range(top + 1):
             for y, py in state.items():
-                terms[n].append(px * py * v.entries.get(space.intern(y), 0))
+                terms[n].append(px * py * v.entries.get(y, 0))
             v = step(graph.system, v)
     return [math.fsum(t) for t in terms]
 
@@ -505,5 +505,5 @@ def graph_operator(graph):
     """Oracle: v -> A v from the dense adjacency."""
     a = np.zeros((len(graph), len(graph)))
     for i, row in enumerate(graph.adj):
-        a[i, list(row)] = 1.0
+        a[i, [graph.index[t] for t in row]] = 1.0
     return lambda v: a @ v

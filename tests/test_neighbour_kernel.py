@@ -70,9 +70,9 @@ def test_band_cache_exact_for_strings_of_one_band(h_instance, base, edits, seed)
     assert twin.translate(BAND) == first.translate(BAND)
     system = ClockSystem()
     space = WalkSpace(system)
-    assert_filter_exact(system, space, space.intern(first))
+    assert_filter_exact(system, space, space.canonical(first))
     assert system.windows(twin) is system.windows(first)
-    assert_filter_exact(system, space, space.intern(twin))
+    assert_filter_exact(system, space, space.canonical(twin))
 
 
 def test_a_new_system_starts_with_no_band():

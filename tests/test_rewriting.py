@@ -61,7 +61,7 @@ class TestBasics:
 class TestFourCycle:
     def test_neighbors(self):
         sys_ = four_cycle()
-        assert sys_.neighbors(enc("aa")) == {enc("ab"), enc("ba")}
+        assert set(sys_.weighted_neighbors(enc("aa"))) == {enc("ab"), enc("ba")}
 
     def test_two_step_counts(self):
         sys_ = four_cycle()
@@ -73,8 +73,8 @@ class TestFourCycle:
     def test_multiply_drops_cancelled_entries(self):
         sys_ = four_cycle()
         space = WalkSpace(sys_)
-        aa, bb, ab = (space.intern(enc(w)) for w in ("aa", "bb", "ab"))
-        ba = space.intern(enc("ba"))
+        aa, bb, ab = (space.canonical(enc(w)) for w in ("aa", "bb", "ab"))
+        ba = space.canonical(enc("ba"))
         # aa and bb share both neighbours, so A (e_aa - e_bb) = 0
         for times_a in (
             lambda w: three_term(w, {}, space.adjacency),
@@ -93,7 +93,7 @@ class TestGuards:
     def test_short_string_rejected(self):
         sys_ = RewritingSystem(AB, 2, [Rule((0, 0), (1, 1))])
         with pytest.raises(RewriteError):
-            sys_.neighbors(enc("a"))
+            sys_.weighted_neighbors(enc("a"))
 
 
 def random_system(draw):
@@ -125,8 +125,8 @@ def system_and_string(draw):
 @given(system_and_string())
 def test_neighbor_symmetry(pair):
     sys_, s = pair
-    for t in sys_.neighbors(s):
-        assert s in sys_.neighbors(t)
+    for t in sys_.weighted_neighbors(s):
+        assert s in sys_.weighted_neighbors(t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,10 +134,10 @@ def test_neighbor_symmetry(pair):
 def test_matches_brute_force(pair, n):
     sys_, s = pair
     space = WalkSpace(sys_)
-    v = WalkVector(space, {space.intern(s): 1})
+    v = WalkVector(space, {space.canonical(s): 1})
     for _ in range(n):
         v = step(sys_, v)
-    targets = {space.strings[sid] for sid in v.entries} | {s}
+    targets = set(v.entries) | {s}
     for t in targets:
         assert count_walks(sys_, s, t, n) == brute_force_count(sys_, s, t, n)
 
@@ -148,15 +148,14 @@ def test_chapman_kolmogorov(pair, n1, n2):
     # (A^(n1+n2))_{s,t} = sum_u (A^n1)_{s,u} (A^n2)_{u,t}
     sys_, s = pair
     space = WalkSpace(sys_)
-    v = WalkVector(space, {space.intern(s): 1})
+    v = WalkVector(space, {space.canonical(s): 1})
     for _ in range(n1):
         v = step(sys_, v)
-    mid = {space.strings[sid]: c for sid, c in v.entries.items()}
+    mid = dict(v.entries)
     w = v
     for _ in range(n2):
         w = step(sys_, w)
-    for sid, total in list(w.entries.items())[:5]:
-        t = space.strings[sid]
+    for t, total in list(w.entries.items())[:5]:
         split = sum(c * count_walks(sys_, u, t, n2) for u, c in mid.items())
         assert split == total
 

@@ -4,7 +4,7 @@
 ``verifier._forward_step`` look only at windows whose program pair a rule
 reads. The references below scan every window, as both did before the
 filter, and must give the same neighbours in the same order: the order of a
-neighbour dict fixes the ids a walk space assigns.
+neighbour dict fixes the search order, so the positions, of a closure.
 """
 
 import pytest
@@ -50,18 +50,17 @@ def full_scan_neighbors(s):
     return out
 
 
-def full_scan_forward_step(space, w):
+def full_scan_forward_step(w):
     out = {}
     unique = True
-    for sid, coef in w.items():
-        s = space.strings[sid]
+    for s, coef in w.items():
         fired = 0
         for j in range(len(s) - 2):
             imgs = forward_images(s[j : j + 3])
             if imgs:
                 fired += 1
                 for img in imgs:
-                    t = space.intern(s[:j] + img + s[j + 3 :])
+                    t = s[:j] + img + s[j + 3 :]
                     cur = out.get(t, 0) + coef
                     if cur:
                         out[t] = cur
@@ -72,11 +71,10 @@ def full_scan_forward_step(space, w):
     return out, unique
 
 
-def assert_filter_exact(system, space, sid):
-    s = space.strings[sid]
+def assert_filter_exact(system, space, s):
     assert list(system.weighted_neighbors(s).items()) == list(full_scan_neighbors(s).items())
-    got, got_unique = verifier._forward_step(space, {sid: 3})
-    want, want_unique = full_scan_forward_step(space, {sid: 3})
+    got, got_unique = verifier._forward_step(space, {s: 3})
+    want, want_unique = full_scan_forward_step({s: 3})
     assert (list(got.items()), got_unique) == (list(want.items()), want_unique)
 
 
@@ -108,8 +106,8 @@ def components():
 
 def test_filter_exact_on_every_component_vertex(components):
     for inst, graph in components:
-        for sid in range(len(graph)):
-            assert_filter_exact(inst.system, graph, sid)
+        for s in graph.strings:
+            assert_filter_exact(inst.system, graph, s)
 
 
 def test_rule_windows_are_the_windows_a_rule_reads(components):
@@ -148,4 +146,4 @@ def test_filter_exact_on_mutated_strings(h_instance, base, edits):
         start = pos % (len(s) - len(cells) + 1)
         s[start : start + len(cells)] = cells
     space = WalkSpace(h_instance.system)
-    assert_filter_exact(h_instance.system, space, space.intern(bytes(s)))
+    assert_filter_exact(h_instance.system, space, space.canonical(bytes(s)))

@@ -177,8 +177,7 @@ def test_three_term_orbit_is_forward_orbit(text, x):
     inst = compile_circuit(parse_circuit(text), x)
     orbit = list(islice(verifier.orbit(inst), inst.ell + 1))
     assert len(orbit) == inst.ell
-    forward_space, forward = integer_orbit(inst)
-    assert orbit == [{forward_space.strings[sid]: c for sid, c in w.items()} for w in forward]
+    assert orbit == integer_orbit(inst)
 
 
 def test_exact_delta_cost_does_not_grow_with_n(h_setup, monkeypatch):
@@ -211,10 +210,10 @@ def test_exact_delta_interns_nothing(h_setup, monkeypatch):
     lengths = (0, 1, 2, 5, 65)
     want = [[exact_deltas(i, n)[n] for n in lengths] for i in (inst, toy)]
 
-    def refused(space, x):
-        raise AssertionError(f"interned {x!r}")
+    def refused(space, system):
+        raise AssertionError("built a walk space")
 
-    monkeypatch.setattr(WalkSpace, "intern", refused)
+    monkeypatch.setattr(WalkSpace, "__init__", refused)
     assert [[exact_delta(i, n) for n in lengths] for i in (inst, toy)] == want
 
 
@@ -283,10 +282,10 @@ def test_equal_endpoints_give_zero_deltas(h_setup):
 
 @pytest.mark.parametrize("extra, interned", [(4, 1696), (5, 1700)])
 def test_exact_deltas_walk_stays_in_its_light_cone(monkeypatch, extra, interned):
-    # N steps, and before step n + 1 the walk holds only ids within N - n
+    # N steps, and before step n + 1 the walk holds only strings within N - n
     # of s, the only ones that can still reach s. The graph is bipartite and
     # d(s, t) has the parity of ell - 1, so only at N = ell + 4 does the walk
-    # reach ids at distance N - n + 1, which a cut one step too loose keeps
+    # reach strings at distance N - n + 1, which a cut one step too loose keeps
     inst = compile_circuit(parse_circuit("qubits 2\nh 0\n---\nswap 0"), [0, 0])
     assert inst.ell == 252
     n_steps = inst.ell + extra
@@ -303,7 +302,7 @@ def test_exact_deltas_walk_stays_in_its_light_cone(monkeypatch, extra, interned)
     assert len(inputs) == n_steps
     assert len(space) == interned
 
-    source = space.index[inst.s]
+    source = inst.s
     dist, frontier = {source: 0}, [source]
     while frontier:
         nxt = []
@@ -313,8 +312,8 @@ def test_exact_deltas_walk_stays_in_its_light_cone(monkeypatch, extra, interned)
                     dist[y] = dist[x] + 1
                     nxt.append(y)
         frontier = nxt
-    for n, ids in enumerate(inputs):
-        assert ids and max(dist.get(x, math.inf) for x in ids) <= n_steps - n, n
+    for n, support in enumerate(inputs):
+        assert support and max(dist.get(x, math.inf) for x in support) <= n_steps - n, n
 
 
 def test_verify_h_all_passed(h_setup):
@@ -422,6 +421,25 @@ def test_sign_decision_is_not_fitted_to_the_input(h_setup):
     assert report.sigma is None
 
 
+def test_verify_stores_each_string_once(h_setup, monkeypatch):
+    # every string the walks meet is one object: a neighbour reached from
+    # many strings is held once, not once per neighbour tuple
+    circuit, x, inst = h_setup
+    spaces = []
+
+    class Recorded(WalkSpace):
+        def __init__(self, system):
+            super().__init__(system)
+            spaces.append(self)
+
+    monkeypatch.setattr(verifier, "WalkSpace", Recorded)
+    assert verify(inst, circuit, x).all_passed
+    [space] = spaces
+    assert len(space.adj) == len(space) == 512  # the whole component of h 0
+    assert all(s is space.seen[s] for s in space.adj)
+    assert all(y is space.seen[y] for row in space.adj.values() for y in row)
+
+
 def test_exact_deltas_reuses_given_space(h_setup):
     _, _, inst = h_setup
     space = WalkSpace(inst.system)
@@ -476,10 +494,10 @@ def orbit_vectors(inst):
 def integer_orbit(inst):
     """w_0 = e_t - e_t', w_{j+1} = F w_j, as orbit_check builds them."""
     space = WalkSpace(inst.system)
-    w = [{space.intern(inst.t): 1, space.intern(inst.t_prime): -1}]
+    w = [{inst.t: 1, inst.t_prime: -1}]
     for _ in range(inst.ell - 1):
         w.append(verifier._forward_step(space, w[-1])[0])
-    return space, w
+    return w
 
 
 def gram_oracle(inst):
@@ -526,11 +544,10 @@ def test_orbit_checks_agree_with_gram_oracle(text, x):
     inst = compile_circuit(parse_circuit(text), x)
     assert orbit_results(inst) == gram_oracle(inst) == (True, True)
     # u_j = w_j / sqrt(2)^(j+1), entry by entry
-    space, w = integer_orbit(inst)
     scale = R2_ONE
-    for wj, uj in zip(w, orbit_vectors(inst), strict=True):
+    for wj, uj in zip(integer_orbit(inst), orbit_vectors(inst), strict=True):
         scale = scale * R2_INV_SQRT2
-        assert {space.strings[sid]: Root2Frac(c, 0, 0) * scale for sid, c in wj.items()} == uj
+        assert {s: Root2Frac(c, 0, 0) * scale for s, c in wj.items()} == uj
 
 
 def test_dropped_orbit_edge_fails_path_check(h_setup, monkeypatch):
