@@ -107,11 +107,15 @@ def cmd_verify(args) -> tuple[dict, dict, bool | None, int]:
 
 def cmd_spectral(args) -> tuple[dict, dict, bool | None, int]:
     upper, lower, lower_valid = spectral.bounds(args.ell, args.m)  # rejects a bad m first
-    corner_exact, corner_float = spectral.corner_entry(args.ell, args.m)
+    corner = spectral.corner_entry(args.ell, args.m)
+    try:
+        corner_float = float(corner)
+    except OverflowError:
+        corner_float = math.inf
     outputs = {
         "lambda0": spectral.eigenvalue(args.ell, 0),
         "w0": spectral.weight(args.ell, 0),
-        "corner": str(corner_exact),
+        "corner": str(corner),
         "corner_float": corner_float,
         "upper": upper,
         "lower": lower,

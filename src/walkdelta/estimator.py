@@ -10,12 +10,14 @@ All moment values are reported in units of c^m. At gap-condition walk lengths
 c^m overflows any float, while the normalized quantities (lambda/c)^m stay
 inside [-1, 1] by the growth promise.
 
-``estimate_with_noise`` forms the two measures from the orbit of e_t - e_t'
-on the component (``orbit_measures``); ``spectral_measure``, one dense eigh
-of the whole component, is the reference the tests compare it with. Both
-measures are discrete, so ``noisy_estimate`` draws its samples per atom: a
-multinomial count per atom, a binomial share of it for the adversary, and
-uniform offsets only where they can move the clipped power, evaluated in
+``estimate_with_noise`` forms the two measures from the orbit of e_t - e_t',
+generated from the rewriting system, and a Gauss rule over the component of
+s, t and t', which it holds only as positions and a 0/1 edge list
+(``orbit_measures``); ``spectral_measure``, one dense eigh of the whole
+component, is the reference the tests compare it with. Both measures are
+discrete, so ``noisy_estimate`` draws its samples per atom: a multinomial
+count per atom, a binomial share of it for the adversary, and uniform
+offsets only where they can move the clipped power, evaluated in
 (lambda, delta) form so that offsets below ulp(lambda) still count.
 """
 
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 import weakref
 from collections import namedtuple
-from itertools import chain
 
 import numpy as np
 
@@ -136,10 +137,8 @@ def _path_eigvec_entries(k: int, j: int) -> np.ndarray:
 
 def _edges(graph: ReachableGraph) -> tuple[np.ndarray, np.ndarray]:
     """(row, column) positions of the ones of the component's adjacency."""
-    n, index = len(graph), graph.index
-    rows = np.repeat(np.arange(n), np.fromiter(map(len, graph.adj), dtype=np.intp, count=n))
-    cols = map(index.__getitem__, chain.from_iterable(graph.adj))
-    return rows, np.fromiter(cols, dtype=np.intp, count=len(rows))
+    rows = np.repeat(np.arange(len(graph)), graph.counts)
+    return rows, np.array(graph.cols, dtype=np.intp)
 
 
 def _adjacency_operator(graph: ReachableGraph):
@@ -187,13 +186,12 @@ def orbit_measures(
     """The spectral measures of psi+- = (e_s +- u_0) / sqrt(2), without the
     eigendecomposition of the component, and the number of Gauss nodes.
 
-    The orbit w_j of e_t - e_t' (``verifier.orbit``, from the component's
-    cached adjacency) gives u_j = w_j / sqrt(2)^(j+1). Its supports
-    must be disjoint and |w_j|^2 = 2^(j+1) (``verifier.orthonormal``): the
-    u_j are then orthonormal, and
-    the orbit stops inside the finite component, after ell neighbour
-    generations on a compiled instance. By the recurrence A u_j = sqrt(2)
-    (u_(j-1) + u_(j+1)), so their span W and its complement are
+    The orbit w_j of e_t - e_t' (``verifier.orbit``) gives
+    u_j = w_j / sqrt(2)^(j+1). Its supports must be disjoint and
+    |w_j|^2 = 2^(j+1) (``verifier.orthonormal``): the u_j are then
+    orthonormal, and the orbit stops inside the finite component, after ell
+    neighbour generations on a compiled instance. By the recurrence
+    A u_j = sqrt(2) (u_(j-1) + u_(j+1)), so their span W and its complement are
     A-invariant, and A acts on W as sqrt(2) times the adjacency P of the
     k-vertex path. With a_j = <s|u_j> and r = e_s - sum_j a_j u_j in the
     complement, psi+- = (sum_j a_j u_j +- u_0 + r) / sqrt(2), so each
@@ -208,7 +206,7 @@ def orbit_measures(
     # (j, w_j) for the one support that holds s, if any: the supports being
     # disjoint, a_j is zero for every other j
     k, hit = 0, None
-    for j, w in enumerate(orthonormal(orbit(instance, graph), EstimateError)):
+    for j, w in enumerate(orthonormal(orbit(instance), EstimateError)):
         if s in w:
             hit = (j, w)
         k = j + 1

@@ -119,18 +119,11 @@ def path_column(k: int, n: int, low: int = 0) -> tuple[int, ...]:
     return tuple(column)
 
 
-def corner_entry(ell: int, m: int) -> tuple[int, float]:
-    """(0, ell-1) entry of the m-th power of the path adjacency matrix.
-
-    Returns the exact integer, the one entry of
-    ``path_column(ell, m, ell - 1)``, from m/2 steps of a binomial row, and
-    that integer as a float, inf past the float range.
-    """
-    exact = path_column(ell, m, ell - 1)[0]
-    try:
-        return exact, float(exact)
-    except OverflowError:
-        return exact, math.inf
+def corner_entry(ell: int, m: int) -> int:
+    """(0, ell-1) entry of the m-th power of the path adjacency matrix, the
+    exact integer: the one entry of ``path_column(ell, m, ell - 1)``, from
+    m/2 steps of a binomial row."""
+    return path_column(ell, m, ell - 1)[0]
 
 
 def bounds(ell: int, m: int) -> tuple[float, float, bool]:

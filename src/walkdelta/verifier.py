@@ -85,32 +85,32 @@ class VerificationReport:
 
 class ReachableGraph:
     """Closure of the rewriting relation around seed strings, searched
-    breadth-first. ``strings`` lists the vertices in search order, ``index``
-    gives their positions, for the estimator's numpy arrays (its A v sums
-    each row in ``adj``'s order), and ``adj[i]`` the neighbours of
-    ``strings[i]`` by position, each as its one object ``strings[index[t]]``."""
+    breadth-first, as the estimator's numpy arrays read it: ``index`` gives
+    each string its position in search order, and the 0/1 adjacency is an
+    edge list by position, ``counts[i]`` neighbours of position i, listed
+    ascending in ``cols`` after those of the positions before it."""
 
     def __init__(self, system, seeds, max_vertices: int = VERTEX_BUDGET):
-        self.system, self.strings, self.index, self.adj = system, [], {}, []
+        index = self.index = {}
+        self.counts, self.cols = [], []
         for seed in seeds:
-            self.canonical(seed)
-        for s in self.strings:  # breadth first: the list grows while it is read
-            row = map(self.canonical, system.weighted_neighbors(s))
-            self.adj.append(tuple(sorted(row, key=self.index.__getitem__)))
-            if len(self.strings) > max_vertices:
+            index.setdefault(seed, len(index))
+        found = list(index)
+        for s in found:  # breadth first: the list grows while it is read
+            row = []
+            for t in system.weighted_neighbors(s):
+                i = index.setdefault(t, len(found))
+                if i == len(found):
+                    found.append(t)
+                row.append(i)
+            row.sort()
+            self.counts.append(len(row))
+            self.cols += row
+            if len(found) > max_vertices:
                 raise VerifyError(f"reachable set exceeds {max_vertices} vertices")
 
-    def canonical(self, s):
-        i = self.index.setdefault(s, len(self.strings))
-        if i == len(self.strings):
-            self.strings.append(s)
-        return self.strings[i]
-
-    def adjacency(self, s) -> tuple:
-        return self.adj[self.index[s]]
-
     def __len__(self):
-        return len(self.strings)
+        return len(self.index)
 
 
 def component_size(system, seeds, max_vertices: int = VERTEX_BUDGET) -> int:
@@ -261,23 +261,20 @@ def exact_deltas(
     return deltas
 
 
-def orbit(instance: CompiledInstance, graph: ReachableGraph | None = None) -> Iterator[dict]:
+def orbit(instance: CompiledInstance) -> Iterator[dict]:
     """The three-term orbit w_0 = e_t - e_t', w_{j+1} = A w_j - 2 w_{j-1}.
 
     Yields each w_j, keyed by string, until the next one is zero; A w_j is
-    formed only when w_{j+1} is asked for. Without a closure A w_j comes
-    from ``weighted_neighbors`` and nothing is cached: the orbit never
-    revisits a vector, and only w_{j-1} and w_j are held. With one it comes
-    from the closure's adjacency, as the estimator reads the orbit from the
-    closure it has built. On a compiled instance this is the forward
-    orbit of ``orbit_check``, of ell vectors. ``exact_delta`` reads w_j[s]
-    from it, and the estimator its span.
+    formed from ``weighted_neighbors`` only when w_{j+1} is asked for, and
+    nothing is cached: the orbit never revisits a vector, and only w_{j-1}
+    and w_j are held. On a compiled instance this is the forward orbit of
+    ``orbit_check``, of ell vectors. ``exact_delta`` reads w_j[s] from it,
+    and the estimator its span.
     """
     w, prev = _difference(instance), {}
-    neighbors = instance.system.weighted_neighbors if graph is None else graph.adjacency
     while w:
         yield w
-        prev, w = w, three_term(w, prev, neighbors)
+        prev, w = w, three_term(w, prev, instance.system.weighted_neighbors)
 
 
 def exact_delta(instance: CompiledInstance, n: int) -> int:
@@ -339,7 +336,7 @@ def end_to_end(
     for n in range(max_n + 1):
         if n % 2 == instance.ell % 2:
             continue
-        corner, _ = spectral.corner_entry(instance.ell, n)
+        corner = spectral.corner_entry(instance.ell, n)
         rhs = sqrt2_power(n) * ov * Root2Frac(corner, 0, 0) * inv_root
         lhs = Root2Frac(deltas[n], 0, 0)
         comparisons += 1

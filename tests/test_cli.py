@@ -709,6 +709,14 @@ def test_spectral_past_float_range(capsys):
     assert doc["outputs"]["corner_float"] == doc["outputs"]["upper"] == float("inf")
 
 
+@pytest.mark.parametrize("ell, m", [(64, 63), (252, 251), (1040, 1041)])
+def test_corner_float_is_the_exact_corner(capsys, ell, m):
+    # near m = ell the spectral sum cancels to noise of the wrong sign
+    code, doc = run(capsys, ["spectral", "--ell", str(ell), "--m", str(m)])
+    assert code == 0
+    assert doc["outputs"]["corner_float"] == float(int(doc["outputs"]["corner"])) > 0
+
+
 def test_spectral_corner_past_int_str_limit(capsys):
     # 2^14999 has 4,516 digits, past Python's default int-to-str limit
     code, doc = run(capsys, ["spectral", "--ell", "3", "--m", "30000"])

@@ -13,6 +13,7 @@ from walkdelta.estimator import (
     bias_bound,
     clipped_powers,
     delta_moment,
+    estimate_with_noise,
     gauss_rule,
     hoeffding_halfwidth,
     hoeffding_samples,
@@ -241,11 +242,11 @@ def test_estimates_have_the_multinomial_mean_and_variance(h_orbit_measures):
     assert 0.7 <= values.var(ddof=1) / var <= 1.3
 
 
-def test_orbit_measures_read_the_closure(monkeypatch):
-    # the closure holds every adjacency the orbit needs: no string's
-    # neighbours are generated again
+def test_closure_and_orbit_each_generate_their_neighbourhoods(monkeypatch):
+    # the closure generates the neighbours of each of its 2,016 strings once,
+    # and the orbit those of each of its 1,260 support strings once more, as
+    # it does for exact_delta: the closure keeps positions, not strings
     inst = compile_circuit(parse_circuit("qubits 2\nh 0\n---\nswap 0"), [0, 0])
-    graph = reachable_component(inst)
     calls = []
     weighted_neighbors = ClockSystem.weighted_neighbors
 
@@ -253,15 +254,17 @@ def test_orbit_measures_read_the_closure(monkeypatch):
         calls.append(s)
         return weighted_neighbors(system, s)
 
+    support = [s for w in verifier.orbit(inst) for s in w]
     monkeypatch.setattr(ClockSystem, "weighted_neighbors", counted)
-    plus, minus, nodes = orbit_measures(inst, graph)
-    assert calls == []
-    assert (len(plus.eigenvalues), nodes) == (inst.ell + QUADRATURE_NODES, QUADRATURE_NODES)
-    monkeypatch.undo()
-    # the orbit from the closure's adjacency is the orbit from weighted_neighbors
-    cached = verifier.orbit(inst, graph)
-    for w, v in zip(verifier.orbit(inst), cached, strict=True):
-        assert w == v
+    _, _, vertices, nodes = estimate_with_noise(inst, inst.m, 0.0, 0.0, 100)
+    assert (vertices, nodes, len(support)) == (2016, QUADRATURE_NODES, 1260)
+    assert len(calls) == 2016 + 1260
+    assert len(set(calls[:2016])) == 2016 and calls[2016:] == support
+    del calls[:]
+    verifier.exact_delta(inst, inst.ell)
+    assert calls == support
+    plus, _, _ = orbit_measures(inst, reachable_component(inst))
+    assert len(plus.eigenvalues) == inst.ell + QUADRATURE_NODES
 
 
 @pytest.mark.slow
@@ -294,25 +297,25 @@ def test_vertex_guard():
 # -- the dense reference against exact walk counts ----------------------------
 
 
-def walk_moments(graph, state, top: int) -> list[float]:
+def walk_moments(system, state, top: int) -> list[float]:
     """Oracle: <psi|A^n|psi> = sum_x,y psi_x psi_y (A^n)_xy for n = 0..top,
     with (A^n)_xy counted by integer walks from each e_x of the support, in
     a walk space of its own."""
-    space = WalkSpace(graph.system)
+    space = WalkSpace(system)
     terms = [[] for _ in range(top + 1)]
     for x, px in state.items():
         v = WalkVector(space, {space.canonical(x): 1})
         for n in range(top + 1):
             for y, py in state.items():
                 terms[n].append(px * py * v.entries.get(y, 0))
-            v = step(graph.system, v)
+            v = step(system, v)
     return [math.fsum(t) for t in terms]
 
 
-def assert_walk_moments(got: SpectralMeasure, graph, state) -> None:
+def assert_walk_moments(got: SpectralMeasure, system, state) -> None:
     assert np.all(got.probabilities >= 0)
     rho = max(1.0, float(np.max(np.abs(got.eigenvalues))))
-    for n, want in enumerate(walk_moments(graph, state, 20)):
+    for n, want in enumerate(walk_moments(system, state, 20)):
         moment = float(got.probabilities @ got.eigenvalues**n)
         assert moment == pytest.approx(want, rel=1e-9, abs=1e-10 * rho**n)
 
@@ -332,7 +335,7 @@ def test_measures_match_dense_oracle(text, x):
     states = build_states(inst)
     got = [spectral_measure(graph, state) for state in states]
     for measure, state in zip(got, states):
-        assert_walk_moments(measure, graph, state)
+        assert_walk_moments(measure, inst.system, state)
     # Delta(m) / c^m against the exact walks, and at the paper m against
     # the closed form
     ms = (0, 1, 2, 20, inst.ell - 1, 201)
@@ -343,17 +346,17 @@ def test_measures_match_dense_oracle(text, x):
         assert delta_moment(*got, m, inst.c) == pytest.approx(want, rel=1e-6, abs=1e-12)
 
 
-def toy_graph(edges: str) -> verifier.ReachableGraph:
-    """The component of 'a' in a window-1 system on one-letter strings."""
+def toy_graph(edges: str) -> tuple[RewritingSystem, verifier.ReachableGraph]:
+    """A window-1 system on one-letter strings and the component of 'a'."""
     alphabet = Alphabet(tuple(sorted(set(edges) - {" "})))
     rules = [Rule(alphabet.encode(e[0]), alphabet.encode(e[1])) for e in edges.split()]
     system = RewritingSystem(alphabet, 1, rules)
-    return verifier.ReachableGraph(system, [alphabet.encode("a")])
+    return system, verifier.ReachableGraph(system, [alphabet.encode("a")])
 
 
-def toy_state(graph, **coefs) -> dict:
+def toy_state(system, **coefs) -> dict:
     norm = math.sqrt(sum(v * v for v in coefs.values()))
-    enc = graph.system.alphabet.encode
+    enc = system.alphabet.encode
     return {enc(k): v / norm for k, v in coefs.items()}
 
 
@@ -368,16 +371,16 @@ TOY_STATES = [
 
 @pytest.mark.parametrize("edges", ["ab bc", "ab bc cd da"])  # path, four-cycle
 def test_toy_measures_match_dense_oracle(edges):
-    graph = toy_graph(edges)
-    states = [toy_state(graph, **coefs) for coefs in TOY_STATES]
+    system, graph = toy_graph(edges)
+    states = [toy_state(system, **coefs) for coefs in TOY_STATES]
     got = [spectral_measure(graph, state) for state in states]
     for state, measure in zip(states, got):
-        assert_walk_moments(measure, graph, state)
+        assert_walk_moments(measure, system, state)
     # c = 2 is at least the spectral radius of either graph, so nothing is
     # clipped and the walks give Delta(m) / c^m of any two states
     c = 2.0
     for i in range(len(states) - 1):
-        first, second = (walk_moments(graph, state, 7) for state in states[i : i + 2])
+        first, second = (walk_moments(system, state, 7) for state in states[i : i + 2])
         for m in range(8):
             want = (first[m] - second[m]) / math.sqrt(2.0) / c**m
             assert delta_moment(got[i], got[i + 1], m, c) == pytest.approx(
@@ -388,8 +391,8 @@ def test_toy_measures_match_dense_oracle(edges):
 def test_path_measure_by_hand():
     # path a-b-c: eigenvalues +-sqrt 2 carry 1/4 each of e_a, and 0 carries
     # the kernel vector (e_a - e_c)/sqrt 2, i.e. half of e_a
-    graph = toy_graph("ab bc")
-    measure = spectral_measure(graph, toy_state(graph, a=1.0))
+    system, graph = toy_graph("ab bc")
+    measure = spectral_measure(graph, toy_state(system, a=1.0))
     mass = dict(zip(np.round(measure.eigenvalues, 12), measure.probabilities))
     assert mass[round(math.sqrt(2), 12)] == pytest.approx(0.25)
     assert mass[round(-math.sqrt(2), 12)] == pytest.approx(0.25)
@@ -400,8 +403,8 @@ def test_triangle_measure_by_hand():
     # triangle a-b-c, an odd cycle: eigenvalue 2 has the eigenvector
     # (1, 1, 1)/sqrt 3, so it carries 1/3 of e_a, and the double eigenvalue
     # -1 carries the other 2/3
-    graph = toy_graph("ab bc ca")
-    measure = spectral_measure(graph, toy_state(graph, a=1.0))
+    system, graph = toy_graph("ab bc ca")
+    measure = spectral_measure(graph, toy_state(system, a=1.0))
     top = np.isclose(measure.eigenvalues, 2.0, rtol=0, atol=1e-12)
     bottom = np.isclose(measure.eigenvalues, -1.0, rtol=0, atol=1e-12)
     assert (int(top.sum()), int(bottom.sum())) == (1, 2)
@@ -492,18 +495,20 @@ def test_gauss_rule_of_a_spent_krylov_space():
     # the path a - b - c from a: the Krylov space is all three vertices, so
     # the rule stops at three nodes, the measure itself (see the hand values
     # in test_path_measure_by_hand)
-    graph = toy_graph("ab bc")
-    start = np.eye(len(graph))[graph.index[graph.system.alphabet.encode("a")]]
-    nodes, weights = gauss_rule(graph_operator(graph), start)
+    system, graph = toy_graph("ab bc")
+    start = np.eye(len(graph))[graph.index[system.alphabet.encode("a")]]
+    nodes, weights = gauss_rule(graph_operator(system, graph), start)
     assert len(nodes) == 3
     np.testing.assert_allclose(nodes, [-math.sqrt(2), 0.0, math.sqrt(2)], atol=1e-14)
     np.testing.assert_allclose(weights, [0.25, 0.5, 0.25], atol=1e-14)
-    assert [len(part) for part in gauss_rule(graph_operator(graph), np.zeros(3))] == [0, 0]
+    operator = graph_operator(system, graph)
+    assert [len(part) for part in gauss_rule(operator, np.zeros(3))] == [0, 0]
 
 
-def graph_operator(graph):
-    """Oracle: v -> A v from the dense adjacency."""
+def graph_operator(system, graph):
+    """Oracle: v -> A v from the dense adjacency, built from the system's
+    neighbours at the closure's positions."""
     a = np.zeros((len(graph), len(graph)))
-    for i, row in enumerate(graph.adj):
-        a[i, [graph.index[t] for t in row]] = 1.0
+    for s, i in graph.index.items():
+        a[i, [graph.index[t] for t in system.weighted_neighbors(s)]] = 1.0
     return lambda v: a @ v

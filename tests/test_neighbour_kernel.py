@@ -3,11 +3,17 @@
 ``ClockSystem.windows`` caches the rule windows of a string per program band
 (the high nibble of each cell), each with the one image cache its program
 pair is read by; ``verifier.component_size`` counts a closure from a set
-alone. Both must give what the uncached, fully built routes give.
+alone. Both must give what the uncached, fully built routes give. The
+closure itself, ``verifier.ReachableGraph``, keeps only positions and an
+edge list, which must be the breadth-first order and the 0/1 adjacency
+that the neighbours give.
 """
 
 import random
+from collections import deque
+from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,6 +120,67 @@ def test_component_size_is_the_closure_size_on_toys():
         assert component_size(system, seeds) == size
         sizes.add(size)
     assert len(sizes) > 10  # the toys are not all one shape
+
+
+def breadth_first_order(system, seeds) -> list:
+    """Oracle: every string reachable from the seeds, once each, in the
+    order that a first-in first-out queue meets them."""
+    order = list(dict.fromkeys(seeds))
+    seen, queue = set(order), deque(order)
+    while queue:
+        for t in system.weighted_neighbors(queue.popleft()):
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+                queue.append(t)
+    return order
+
+
+def assert_closure_is_the_edge_list(system, seeds, dense: bool) -> ReachableGraph:
+    """The closure's positions follow the breadth-first order, and its edge
+    list is the 0/1 adjacency that ``weighted_neighbors`` gives: row i, the
+    ascending columns of the ones of row i of the dense matrix, in search
+    order. ``dense`` also compares the two whole matrices. A budget of the
+    size holds the closure, and one less is refused."""
+    order = breadth_first_order(system, seeds)
+    graph = ReachableGraph(system, seeds, max_vertices=len(order))
+    position = {s: i for i, s in enumerate(order)}
+    assert list(graph.index.items()) == list(position.items())
+    assert len(graph) == len(graph.counts) == len(order)
+    assert sum(graph.counts) == len(graph.cols)
+    starts = list(accumulate(graph.counts, initial=0))
+    for i, s in enumerate(order):
+        want = sorted({position[t] for t in system.weighted_neighbors(s)})
+        assert graph.cols[starts[i] : starts[i + 1]] == want  # strictly ascending
+    if dense:
+        n = len(order)
+        want, got = np.zeros((n, n), dtype=int), np.zeros((n, n), dtype=int)
+        for s, i in position.items():
+            want[i, [position[t] for t in system.weighted_neighbors(s)]] = 1
+        got[np.repeat(np.arange(n), graph.counts), graph.cols] = 1
+        assert np.array_equal(got, want)
+    if order:
+        budget = len(order) - 1
+        with pytest.raises(VerifyError, match=f"^reachable set exceeds {budget} vertices$"):
+            ReachableGraph(system, seeds, max_vertices=budget)
+    return graph
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_closure_is_the_edge_list_on_toys(seed):
+    rng = random.Random(seed)
+    system = random_toy(rng)
+    length = rng.randrange(system.window, 6)
+    seeds = [tuple(rng.randrange(3) for _ in range(length)) for _ in range(rng.randrange(1, 4))]
+    assert_closure_is_the_edge_list(system, seeds, dense=True)
+
+
+@pytest.mark.parametrize("text, x, size", LADDER)
+def test_closure_is_the_edge_list_on_the_ladder(text, x, size):
+    inst = compile_circuit(parse_circuit(text), x)
+    seeds = [inst.s, inst.t, inst.t_prime]
+    assert len(assert_closure_is_the_edge_list(inst.system, seeds, dense=False)) == size
 
 
 def test_component_size_refuses_past_the_budget_as_the_closure_does():

@@ -106,13 +106,14 @@ def components():
 
 def test_filter_exact_on_every_component_vertex(components):
     for inst, graph in components:
-        for s in graph.strings:
-            assert_filter_exact(inst.system, graph, s)
+        space = WalkSpace(inst.system)
+        for s in graph.index:
+            assert_filter_exact(inst.system, space, space.canonical(s))
 
 
 def test_rule_windows_are_the_windows_a_rule_reads(components):
     for _, graph in components:
-        for s in graph.strings:
+        for s in graph.index:
             windows = range(len(s) - 2)
             pairs = [(split_cell(s[j + 1])[0], split_cell(s[j + 2])[0]) for j in windows]
             read = [j for j in windows if pairs[j] in RULE_PAIRS]

@@ -65,7 +65,8 @@ def test_reachable_graph_four_cycle():
     system = four_cycle_system()
     graph = ReachableGraph(system, [(0, 0)])
     assert len(graph) == 4
-    assert all(len(row) == 2 for row in graph.adj)
+    assert graph.counts == [2, 2, 2, 2]
+    assert len(graph.cols) == 8
 
 
 def test_reachable_graph_budget():
