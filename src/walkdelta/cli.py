@@ -17,10 +17,10 @@ import sys
 import time
 
 from . import spectral
-from .circuits import CircuitError, SimulationTooLarge, parse_circuit
+from .circuits import Circuit, CircuitError, SimulationTooLarge, parse_circuit
 from .clock import ClockSystem, CompiledInstance, CompileError, compile_circuit
 from .rewriting import RewriteError
-from .verifier import VERTEX_BUDGET, VerifyError, component_size, exact_delta, verify
+from .verifier import VerifyError, component_size, exact_delta, verify
 
 SCHEMA = "walkdelta-result-1"
 
@@ -44,30 +44,27 @@ def _emit(command: str, inputs: dict, outputs: dict, passed: bool | None, second
     sys.stdout.write("\n")
 
 
-def _parse_bits(text: str, n_qubits: int) -> list[int]:
-    """One bit per qubit from the first on; the qubits past them start at 0."""
-    if not 0 < len(text) <= n_qubits or any(ch not in "01" for ch in text):
-        raise CircuitError(f"input must be 1 to {n_qubits} bits, each 0 or 1, got {text!r}")
-    return [int(ch) for ch in text]
-
-
-def _load_circuit(path: str):
-    with open(path) as fh:
-        return parse_circuit(fh.read())
+def _load_circuit(args) -> tuple[Circuit, list[int]]:
+    """The circuit of ``--circuit`` and one ``--input`` bit per qubit from the
+    first on; the qubits past them start at 0."""
+    try:
+        with open(args.circuit, encoding="utf-8") as fh:
+            circuit = parse_circuit(fh.read())
+    except UnicodeDecodeError as exc:
+        raise CircuitError(f"circuit file is not UTF-8: {exc}") from None
+    bits, n = args.input, circuit.n_qubits
+    if not 0 < len(bits) <= n or any(ch not in "01" for ch in bits):
+        raise CircuitError(f"input must be 1 to {n} bits, each 0 or 1, got {bits!r}")
+    return circuit, [int(ch) for ch in bits]
 
 
 def cmd_compile(args) -> tuple[dict, dict, bool | None, int]:
-    circuit = _load_circuit(args.circuit)
-    x = _parse_bits(args.input, circuit.n_qubits)
+    circuit, x = _load_circuit(args)
     try:
         instance = compile_circuit(circuit, x)
     except (CompileError, spectral.SpectralError) as exc:
         raise ResourceFailure(str(exc))
-    vertices = component_size(
-        instance.system,
-        [instance.s, instance.t, instance.t_prime],
-        max_vertices=args.vertex_budget,
-    )
+    vertices = component_size(instance.system, [instance.s, instance.t, instance.t_prime])
     instance.save(args.out)
     outputs = {
         "out": args.out,
@@ -97,8 +94,7 @@ def cmd_verify(args) -> tuple[dict, dict, bool | None, int]:
     instance = CompiledInstance.load(args.instance)
     if not isinstance(instance.system, ClockSystem):
         raise CompileError("verify needs a compiled instance, not one with explicit rules")
-    circuit = _load_circuit(args.circuit)
-    x = _parse_bits(args.input, circuit.n_qubits)
+    circuit, x = _load_circuit(args)
     report = verify(instance, circuit, x)
     inputs = {"instance": args.instance, "circuit": args.circuit, "input": args.input}
     passed = report.all_passed
@@ -187,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--input", required=True, help="input bits, e.g. 110")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--vertex-budget", type=_in_range(int, 1), default=VERTEX_BUDGET)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("delta", help="walk-count difference of an instance")

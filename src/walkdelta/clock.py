@@ -376,7 +376,14 @@ def _gate_slot(gate: Gate) -> int:
     return gate.qubit + 3
 
 
+# the longest control run compile_circuit follows before it gives up
+MAX_CONTROL_STEPS = 1_000_000
+
+
 def layout(circuit: Circuit, x: Sequence[int]) -> Layout:
+    """The bands of a circuit on input x. The execution marker's first sweep
+    passes all w * n program cells (w blocks of n = qubits + 1), so
+    ell >= w * n - 1: past ``MAX_CONTROL_STEPS`` no run can end, and no band is built."""
     validate(circuit)
     nq = circuit.n_qubits
     if len(x) > nq:
@@ -414,6 +421,8 @@ def layout(circuit: Circuit, x: Sequence[int]) -> Layout:
     layers[-1][b_slot] = GATE_B
 
     w = len(layers)
+    if w * n - 1 > MAX_CONTROL_STEPS:
+        raise CompileError(f"{w * n} program cells need over {MAX_CONTROL_STEPS} control steps")
     program_code: list[int] = []
     for i, slots in enumerate(layers):
         for slot in range(n):
@@ -459,10 +468,6 @@ class ControlRun(namedtuple("ControlRun", "ell configs d_parity")):
     number of dummy-Hadamard steps."""
 
     __slots__ = ()
-
-
-# the longest control run compile_circuit follows before it gives up
-MAX_CONTROL_STEPS = 1_000_000
 
 
 def control_simulate(lay: Layout) -> ControlRun:
@@ -626,8 +631,11 @@ class CompiledInstance(
 
     @classmethod
     def load(cls, path) -> "CompiledInstance":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_json(json.load(fh))
+        except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+            raise CompileError(f"malformed instance file: {exc}") from None
 
 
 def check_boundary_inert(instance: CompiledInstance) -> None:

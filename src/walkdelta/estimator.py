@@ -30,7 +30,7 @@ from collections import namedtuple
 import numpy as np
 
 from .clock import CompiledInstance
-from .verifier import VERTEX_BUDGET, ReachableGraph, orbit, orthonormal
+from .verifier import ReachableGraph, orbit, orthonormal
 
 MAX_DENSE_VERTICES = 4000
 
@@ -75,11 +75,8 @@ class SpectralMeasure(namedtuple("SpectralMeasure", "eigenvalues probabilities")
     __slots__ = ()
 
 
-def reachable_component(
-    instance: CompiledInstance, max_vertices: int = VERTEX_BUDGET
-) -> ReachableGraph:
-    seeds = [instance.s, instance.t, instance.t_prime]
-    return ReachableGraph(instance.system, seeds, max_vertices=max_vertices)
+def reachable_component(instance: CompiledInstance) -> ReachableGraph:
+    return ReachableGraph(instance.system, [instance.s, instance.t, instance.t_prime])
 
 
 # the eigendecomposition of each component, dropped with the component; the

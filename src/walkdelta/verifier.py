@@ -28,7 +28,7 @@ SQRT2 = math.sqrt(2.0)
 # the sign convention Delta(n) = SIGMA sqrt(2)^n <x,0|U|x,0> P^n[0, ell-1] / sqrt(1+d)
 SIGMA = -1
 
-# the most vertices a closure may hold before it is refused
+# the most vertices a closure may hold; read at each call, so a test may lower it
 VERTEX_BUDGET = 100_000
 
 
@@ -90,7 +90,7 @@ class ReachableGraph:
     edge list by position, ``counts[i]`` neighbours of position i, listed
     ascending in ``cols`` after those of the positions before it."""
 
-    def __init__(self, system, seeds, max_vertices: int = VERTEX_BUDGET):
+    def __init__(self, system, seeds):
         index = self.index = {}
         self.counts, self.cols = [], []
         for seed in seeds:
@@ -106,15 +106,15 @@ class ReachableGraph:
             row.sort()
             self.counts.append(len(row))
             self.cols += row
-            if len(found) > max_vertices:
-                raise VerifyError(f"reachable set exceeds {max_vertices} vertices")
+            if len(found) > VERTEX_BUDGET:
+                raise VerifyError(f"reachable set exceeds {VERTEX_BUDGET} vertices")
 
     def __len__(self):
         return len(self.index)
 
 
-def component_size(system, seeds, max_vertices: int = VERTEX_BUDGET) -> int:
-    """len(ReachableGraph(system, seeds, max_vertices)) and its budget error, from a set alone."""
+def component_size(system, seeds) -> int | None:
+    """len(ReachableGraph(system, seeds)) from a set alone, or None past ``VERTEX_BUDGET``."""
     seen = set(seeds)
     found = list(seen)
     for s in found:
@@ -122,8 +122,8 @@ def component_size(system, seeds, max_vertices: int = VERTEX_BUDGET) -> int:
             if t not in seen:
                 seen.add(t)
                 found.append(t)
-        if len(seen) > max_vertices:
-            raise VerifyError(f"reachable set exceeds {max_vertices} vertices")
+        if len(seen) > VERTEX_BUDGET:
+            return None
     return len(seen)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import walkdelta
-from walkdelta import cli, estimator, spectral
+from walkdelta import cli, clock, estimator, spectral, verifier
 from walkdelta.circuits import overlap, parse_circuit
 from walkdelta.clock import compile_circuit
 from walkdelta.rewriting import RewritingSystem
@@ -523,24 +523,16 @@ def test_delta_at_ell_9072_peak_rss_under_50_mb(tmp_path):
     assert max_rss_kb < 50 * 1024
 
 
-def test_resource_error_exit_3(workspace, capsys):
+def test_resource_error_exit_3(workspace, capsys, monkeypatch):
+    # the h 0 layout has 3 blocks of 2 cells, so no control run under 5 steps
     root, circuit, _ = workspace
     out = root / "tiny.json"
-    code = cli.main(
-        [
-            "compile",
-            "--circuit",
-            str(circuit),
-            "--input",
-            "0",
-            "-o",
-            str(out),
-            "--vertex-budget",
-            "10",
-        ]
-    )
-    capsys.readouterr()
+    monkeypatch.setattr(clock, "MAX_CONTROL_STEPS", 4)
+    code = cli.main(["compile", "--circuit", str(circuit), "--input", "0", "-o", str(out)])
+    captured = capsys.readouterr()
     assert code == 3
+    assert captured.out == ""
+    assert captured.err == "resource error: 6 program cells need over 4 control steps\n"
     assert not out.exists()
 
 
@@ -550,6 +542,7 @@ def test_removed_options_exit_2(workspace, capsys):
     for argv, option in (
         (["--schema-version=x", "spectral", "--ell", "2", "--m", "1"], "--schema-version"),
         (compile_argv + ["--m-mode", "paper"], "--m-mode"),
+        (compile_argv + ["--vertex-budget", "10"], "--vertex-budget"),
     ):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
@@ -765,29 +758,67 @@ def test_estimate_largest_eta_runs(workspace, capsys):
     assert doc["inputs"]["eta"] == 1e300
 
 
-def test_compile_vertex_budget_below_1_exit_2(workspace, capsys):
-    root, circuit, _ = workspace
-    out = root / "budget.json"
-    argv = ["compile", "--circuit", str(circuit), "--input", "0", "-o", str(out)]
-    assert cli.main(argv + ["--vertex-budget", "-1"]) == 2
-    assert "argument --vertex-budget: -1 is outside" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_compile_budget_one_below_the_component_exit_3(workspace, capsys):
-    # the h 0 component has 512 strings: a budget of 511 refuses it, 512 takes it
+def test_component_past_the_budget_null_count_estimate_exit_3(workspace, capsys, monkeypatch):
+    # the h 0 component has 512 strings: past a budget of 511 compile reports
+    # no count, and estimate, which needs the whole component, refuses it
     root, circuit, _ = workspace
     out = root / "edge.json"
     argv = ["compile", "--circuit", str(circuit), "--input", "0", "-o", str(out)]
-    assert cli.main(argv + ["--vertex-budget", "511"]) == 3
+    monkeypatch.setattr(verifier, "VERTEX_BUDGET", 511)
+    code, doc = run(capsys, argv)
+    assert code == 0
+    assert doc["outputs"]["reachable_vertices"] is None
+    assert out.exists()
+    estimate = ["estimate", "--instance", str(out), "--eta", "0", "--theta", "0", "--samples", "1"]
+    assert cli.main(estimate) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "reachable set exceeds 511 vertices" in captured.err
-    assert not out.exists()
-    code, doc = run(capsys, argv + ["--vertex-budget", "512"])
+    out.unlink()
+    monkeypatch.setattr(verifier, "VERTEX_BUDGET", 512)
+    code, doc = run(capsys, argv)
     assert code == 0
     assert doc["outputs"]["reachable_vertices"] == 512
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("compile", "binary"),
+        ("verify-circuit", "binary"),
+        ("delta", "binary"),
+        ("verify", "binary"),
+        ("estimate", "binary"),
+        ("delta", "deep"),
+        ("verify", "deep"),
+        ("estimate", "deep"),
+    ],
+)
+def test_unreadable_file_exit_2(workspace, tmp_path, capsys, command, content):
+    # a file that is not UTF-8, or JSON nested past the recursion limit, is a
+    # parse error where it is read, not a traceback
+    _, circuit, instance = workspace
+    bad = tmp_path / "bad"
+    if content == "binary":
+        bad.write_bytes(bytes(range(128, 256)))
+    else:
+        bad.write_text("[" * 200_000 + "]" * 200_000)
+    bits = ["--input", "0"]
+    argv = {
+        "compile": ["compile", "--circuit", str(bad), "-o", str(tmp_path / "o")] + bits,
+        "verify-circuit": ["verify", "--instance", str(instance), "--circuit", str(bad)] + bits,
+        "delta": ["delta", "--instance", str(bad), "--steps", "3"],
+        "verify": ["verify", "--instance", str(bad), "--circuit", str(circuit)] + bits,
+        "estimate": ["estimate", "--instance", str(bad)]
+        + ["--eta", "0", "--theta", "0", "--samples", "1"],
+    }[command]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "o").exists()
 
 
 def test_delta_negative_steps_exit_2(workspace, capsys):

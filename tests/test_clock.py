@@ -325,6 +325,23 @@ def test_control_run_golden_lengths():
         assert len(set(run.configs)) == ell
 
 
+def test_layout_refuses_a_first_sweep_past_the_step_limit(monkeypatch):
+    # the marker's first sweep passes all w * n program cells, so
+    # ell >= w * n - 1: a step limit below that is refused before the bands
+    # are built, and one at it is left to the control run
+    for circuit, x, ell, _, _ in golden_instances():
+        lay = layout(circuit, x)
+        assert ell >= lay.width * lay.block - 1
+    circuit = parse_circuit("qubits 1\nh 0")  # 3 blocks of 2 cells, ell 64
+    monkeypatch.setattr(clock, "MAX_CONTROL_STEPS", 5)
+    assert layout(circuit, [0]).width == 3
+    with pytest.raises(CompileError, match="^no termination within 5 steps$"):
+        compile_circuit(circuit, [0])
+    monkeypatch.setattr(clock, "MAX_CONTROL_STEPS", 4)
+    with pytest.raises(CompileError, match="^6 program cells need over 4 control steps$"):
+        layout(circuit, [0])
+
+
 def test_control_run_margins_stay_blank():
     lay = layout(parse_circuit("qubits 1\nh 0"), [0])
     run = control_simulate(lay)

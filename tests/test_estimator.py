@@ -288,10 +288,11 @@ def test_planned_noise_moves_the_estimate_at_ell_704():
         assert abs(noisy - clean) > 1e4 * np.spacing(abs(clean))
 
 
-def test_vertex_guard():
+def test_vertex_guard(monkeypatch):
     inst = compile_circuit(parse_circuit("qubits 1\nh 0"), [0])
+    monkeypatch.setattr(verifier, "VERTEX_BUDGET", 100)
     with pytest.raises((EstimateError, verifier.VerifyError)):
-        reachable_component(inst, max_vertices=100)
+        reachable_component(inst)
 
 
 # -- the dense reference against exact walk counts ----------------------------

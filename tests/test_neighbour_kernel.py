@@ -3,10 +3,11 @@
 ``ClockSystem.windows`` caches the rule windows of a string per program band
 (the high nibble of each cell), each with the one image cache its program
 pair is read by; ``verifier.component_size`` counts a closure from a set
-alone. Both must give what the uncached, fully built routes give. The
-closure itself, ``verifier.ReachableGraph``, keeps only positions and an
-edge list, which must be the breadth-first order and the 0/1 adjacency
-that the neighbours give.
+alone, or gives None where the closure refuses one past the budget. Both
+must give what the uncached, fully built routes give. The closure itself,
+``verifier.ReachableGraph``, keeps only positions and an edge list, which
+must be the breadth-first order and the 0/1 adjacency that the neighbours
+give.
 """
 
 import random
@@ -27,6 +28,7 @@ from walkdelta.clock import (
     ClockSystem,
     compile_circuit,
 )
+from walkdelta import verifier
 from walkdelta.rewriting import Alphabet, RewritingSystem, Rule, WalkSpace
 from walkdelta.verifier import ReachableGraph, VerifyError, component_size
 
@@ -143,7 +145,9 @@ def assert_closure_is_the_edge_list(system, seeds, dense: bool) -> ReachableGrap
     order. ``dense`` also compares the two whole matrices. A budget of the
     size holds the closure, and one less is refused."""
     order = breadth_first_order(system, seeds)
-    graph = ReachableGraph(system, seeds, max_vertices=len(order))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "VERTEX_BUDGET", len(order))
+        graph = ReachableGraph(system, seeds)
     position = {s: i for i, s in enumerate(order)}
     assert list(graph.index.items()) == list(position.items())
     assert len(graph) == len(graph.counts) == len(order)
@@ -161,8 +165,10 @@ def assert_closure_is_the_edge_list(system, seeds, dense: bool) -> ReachableGrap
         assert np.array_equal(got, want)
     if order:
         budget = len(order) - 1
-        with pytest.raises(VerifyError, match=f"^reachable set exceeds {budget} vertices$"):
-            ReachableGraph(system, seeds, max_vertices=budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verifier, "VERTEX_BUDGET", budget)
+            with pytest.raises(VerifyError, match=f"^reachable set exceeds {budget} vertices$"):
+                ReachableGraph(system, seeds)
     return graph
 
 
@@ -183,10 +189,13 @@ def test_closure_is_the_edge_list_on_the_ladder(text, x, size):
     assert len(assert_closure_is_the_edge_list(inst.system, seeds, dense=False)) == size
 
 
-def test_component_size_refuses_past_the_budget_as_the_closure_does():
+def test_component_size_refuses_past_the_budget_as_the_closure_does(monkeypatch):
+    # the count gives None exactly where the closure raises
     inst = compile_circuit(parse_circuit("qubits 1\nh 0"), [0])
     seeds = [inst.s, inst.t, inst.t_prime]
-    assert component_size(inst.system, seeds, max_vertices=512) == 512
-    for closure in (component_size, ReachableGraph):
-        with pytest.raises(VerifyError, match="reachable set exceeds 511 vertices"):
-            closure(inst.system, seeds, max_vertices=511)
+    monkeypatch.setattr(verifier, "VERTEX_BUDGET", 512)
+    assert component_size(inst.system, seeds) == len(ReachableGraph(inst.system, seeds)) == 512
+    monkeypatch.setattr(verifier, "VERTEX_BUDGET", 511)
+    assert component_size(inst.system, seeds) is None
+    with pytest.raises(VerifyError, match="reachable set exceeds 511 vertices"):
+        ReachableGraph(inst.system, seeds)

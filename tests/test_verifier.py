@@ -69,10 +69,11 @@ def test_reachable_graph_four_cycle():
     assert len(graph.cols) == 8
 
 
-def test_reachable_graph_budget():
+def test_reachable_graph_budget(monkeypatch):
     system = four_cycle_system()
+    monkeypatch.setattr(verifier, "VERTEX_BUDGET", 4)
     with pytest.raises(VerifyError):
-        ReachableGraph(system, [(0, 0, 0)], max_vertices=4)
+        ReachableGraph(system, [(0, 0, 0)])
 
 
 def test_reachable_graph_multiple_seeds():
