@@ -29,7 +29,7 @@ import json
 import math
 import re
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 from .circuits import Circuit, Gate, validate
@@ -462,75 +462,50 @@ def layout(circuit: Circuit, x: Sequence[int]) -> Layout:
     )
 
 
-class ControlRun(namedtuple("ControlRun", "ell configs d_parity")):
-    """Deterministic program-band trajectory of a layout: ``configs`` holds
-    the program bands, one per step, and ``d_parity`` the parity of the
-    number of dummy-Hadamard steps."""
-
-    __slots__ = ()
-
-
-def control_simulate(lay: Layout) -> ControlRun:
-    """Run the program band forward until the terminating annihilation.
+def control_run(lay: Layout) -> Iterator[tuple[bytes, int]]:
+    """The run of a layout: each string of the trajectory as ``bytes`` (the
+    program band over the data band, aux and sim bits 0), with the number of
+    dummy-Hadamard steps taken to reach it.
 
     Only the program track moves; the data track enters through its fixed
-    formatting (separator positions and register extent).  Exactly one window
-    must admit a transition at every step; the run ends at the configuration
-    whose unique matching window is the boundary-gate annihilation.
+    formatting (separator positions and register extent).  Each step tests
+    the windows ``rule_windows`` finds, a superset of those a transition
+    can match.  Exactly one window must admit a transition at every step;
+    the run ends at the string whose unique matching window is the
+    boundary-gate annihilation.
     """
-    data = lay.data
-    prog = list(lay.program)
-    configs = [tuple(prog)]
+    s = bytes(make_cell(p, d, 0, 0) for p, d in zip(lay.program, lay.data))
     dummy_steps = 0
-    for _ in range(MAX_CONTROL_STEPS):
+    for step in range(MAX_CONTROL_STEPS):
+        yield s, dummy_steps
         applicable = []
         annihilating = False
-        for j in range(len(prog) - 2):
-            p0, p1 = prog[j + 1], prog[j + 2]
-            match = transition_match(p0, p1, data[j + 1], data[j + 2])
+        for j in rule_windows(s):
+            c0, c1, c2 = s[j : j + 3]
+            p0, p1, d0, d1 = c1 >> 4, c2 >> 4, (c1 >> 2) & 3, (c2 >> 2) & 3
+            match = transition_match(p0, p1, d0, d1)
             if match is None:
                 continue
-            xc = execution_class(p0, p1, data[j], data[j + 1], data[j + 2])
+            xc = execution_class(p0, p1, (c0 >> 2) & 3, d0, d1)
             if xc == X_BOUNDARY:
                 annihilating = True
             else:
                 applicable.append((j, match, xc))
         if not applicable:
             if annihilating:
-                return ControlRun(len(configs), tuple(configs), dummy_steps % 2)
-            raise CompileError(
-                f"no transition applies at step {len(configs) - 1} and no "
-                "termination in sight"
-            )
+                return
+            raise CompileError(f"no transition applies at step {step} and no termination in sight")
         if len(applicable) > 1:
             raise CompileError(
-                f"{len(applicable)} transitions apply at step {len(configs) - 1}: "
+                f"{len(applicable)} transitions apply at step {step}: "
                 f"windows {[j for j, _, _ in applicable]}"
             )
-        j, (new_pair, _move), xc = applicable[0]
+        j, ((q0, q1), _move), xc = applicable[0]
         if xc != X_HADAMARD:
             dummy_steps += 1
-        prog[j + 1], prog[j + 2] = new_pair
-        configs.append(tuple(prog))
+        pair = bytes(((q0 << 4) | (s[j + 1] & 0xF), (q1 << 4) | (s[j + 2] & 0xF)))
+        s = s[: j + 1] + pair + s[j + 3 :]
     raise CompileError(f"no termination within {MAX_CONTROL_STEPS} steps")
-
-
-def build_strings(lay: Layout, run: ControlRun) -> tuple[bytes, bytes, bytes]:
-    """Assemble the three walk endpoints (s, t, t').
-
-    s is the final configuration with the data register reset to the circuit
-    input (so a walk reaching it reads off the return amplitude); t and t'
-    are the initial configuration with simulator bit 1 respectively 0 above
-    the execution marker.  Aux tracks are all zero.
-    """
-    final_prog = run.configs[-1]
-    s = bytes(make_cell(p, d, 0, 0) for p, d in zip(final_prog, lay.data))
-    t = bytes(
-        make_cell(p, d, 0, 1 if i == lay.exec_pos else 0)
-        for i, (p, d) in enumerate(zip(lay.program, lay.data))
-    )
-    t_prime = bytes(make_cell(p, d, 0, 0) for p, d in zip(lay.program, lay.data))
-    return s, t, t_prime
 
 
 SQRT2 = math.sqrt(2.0)
@@ -648,10 +623,16 @@ def check_boundary_inert(instance: CompiledInstance) -> None:
 
 
 def compile_circuit(circuit: Circuit, x: Sequence[int]) -> CompiledInstance:
+    """The instance of a circuit on input x: t' is the first string of the
+    control run, t the same with sim bit 1 above the execution marker, and
+    s the last string, where the data register still holds x, so a walk
+    reaching it reads off the return amplitude."""
     lay = layout(circuit, x)
-    run = control_simulate(lay)
-    s, t, t_prime = build_strings(lay, run)
-    ell = run.ell
+    for ell, (s, dummy_steps) in enumerate(control_run(lay), 1):
+        if ell == 1:
+            t_prime = s
+    e = lay.exec_pos
+    t = t_prime[:e] + bytes((t_prime[e] | 1,)) + t_prime[e + 1 :]
     c, epsilon = growth_constants(ell)
     instance = CompiledInstance(
         system=ClockSystem(),
@@ -660,7 +641,7 @@ def compile_circuit(circuit: Circuit, x: Sequence[int]) -> CompiledInstance:
         t_prime=t_prime,
         m=(ell + 1) ** 3,  # the paper's walk length, of the parity opposite to ell
         ell=ell,
-        d_parity=run.d_parity,
+        d_parity=dummy_steps % 2,
         c=c,
         epsilon=epsilon,
     )

@@ -1,10 +1,11 @@
 """Reference implementations that only the tests call.
 
 Each is an independent, slower route to a fact the package relies on: the
-structural scan of the clock rule relation over all 224^3 triples, exact
-walk counts by repeated ``rewriting.step`` and by depth-first enumeration,
-the unit states of the estimator, the weight-decay limit of the path graph,
-and the text form of a circuit. The commands never run them.
+structural scan of the clock rule relation over all 224^3 triples, the
+control run testing every window at each step, exact walk counts by
+repeated ``rewriting.step`` and by depth-first enumeration, the unit states
+of the estimator, the weight-decay limit of the path graph, and the text
+form of a circuit. The commands never run them.
 """
 
 from __future__ import annotations
@@ -12,16 +13,19 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
+from walkdelta import clock
 from walkdelta.circuits import Circuit
 from walkdelta.clock import (
     ALPHABET_SIZE,
     N_DATA,
     N_PROGRAM,
     X_BOUNDARY,
+    X_HADAMARD,
     CompiledInstance,
     CompileError,
+    Layout,
     _images,
     backward_images,
     execution_class,
@@ -128,6 +132,43 @@ def scan_rules(spot_checks: int = 20000, seed: int = 0) -> ScanReport:
         self_pairs=self_pairs,
         bidirectional=bidirectional,
     )
+
+
+def full_scan_run(lay: Layout) -> Iterator[tuple[bytes, int]]:
+    """Reference for ``clock.control_run``: the same strings, dummy counts
+    and errors, from a step that tests every window of the program band
+    rather than those ``rule_windows`` finds."""
+    data = lay.data
+    prog = list(lay.program)
+    dummy_steps = 0
+    for step in range(clock.MAX_CONTROL_STEPS):
+        yield bytes(make_cell(p, d, 0, 0) for p, d in zip(prog, data)), dummy_steps
+        applicable = []
+        annihilating = False
+        for j in range(len(prog) - 2):
+            p0, p1 = prog[j + 1], prog[j + 2]
+            match = transition_match(p0, p1, data[j + 1], data[j + 2])
+            if match is None:
+                continue
+            xc = execution_class(p0, p1, data[j], data[j + 1], data[j + 2])
+            if xc == X_BOUNDARY:
+                annihilating = True
+            else:
+                applicable.append((j, match, xc))
+        if not applicable:
+            if annihilating:
+                return
+            raise CompileError(f"no transition applies at step {step} and no termination in sight")
+        if len(applicable) > 1:
+            raise CompileError(
+                f"{len(applicable)} transitions apply at step {step}: "
+                f"windows {[j for j, _, _ in applicable]}"
+            )
+        j, (new_pair, _move), xc = applicable[0]
+        if xc != X_HADAMARD:
+            dummy_steps += 1
+        prog[j + 1], prog[j + 2] = new_pair
+    raise CompileError(f"no termination within {clock.MAX_CONTROL_STEPS} steps")
 
 
 class BudgetExceeded(RewriteError):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,13 +36,13 @@ from walkdelta.clock import (
     ClockSystem,
     CompileError,
     CompiledInstance,
+    Layout,
     backward_images,
-    build_strings,
     cell_token,
     check_boundary_inert,
     clock_alphabet,
     compile_circuit,
-    control_simulate,
+    control_run,
     forward_images,
     layout,
     make_cell,
@@ -317,12 +318,11 @@ def test_layout_data_band_shape():
 def test_control_run_golden_lengths():
     for circuit, x, ell, d_parity, length in golden_instances():
         lay = layout(circuit, x)
-        run = control_simulate(lay)
-        assert run.ell == ell
-        assert run.d_parity == d_parity
+        strings, dummy_steps = zip(*control_run(lay))
+        assert len(strings) == ell
+        assert dummy_steps[-1] % 2 == d_parity
         assert lay.length == length
-        assert len(run.configs) == ell
-        assert len(set(run.configs)) == ell
+        assert len(set(strings)) == ell
 
 
 def test_layout_refuses_a_first_sweep_past_the_step_limit(monkeypatch):
@@ -344,18 +344,37 @@ def test_layout_refuses_a_first_sweep_past_the_step_limit(monkeypatch):
 
 def test_control_run_margins_stay_blank():
     lay = layout(parse_circuit("qubits 1\nh 0"), [0])
-    run = control_simulate(lay)
-    for config in run.configs:
-        assert len(config) == lay.length
-        assert config[0] == config[1] == BLANK
-        assert config[-1] == config[-2] == BLANK
+    for s, _ in control_run(lay):
+        assert len(s) == lay.length
+        program = [split_cell(c)[0] for c in s]
+        assert program[0] == program[1] == BLANK
+        assert program[-1] == program[-2] == BLANK
 
 
-def test_build_strings_structure():
+def _hand_layout(program):
+    # the control run reads only the two bands
+    return Layout(2, 1, tuple(program), (DOT,) * len(program), 0, 2)
+
+
+def test_control_run_two_markers_is_a_compile_error():
+    lay = _hand_layout([BLANK, BLANK, EXEC, GATE_I, EXEC, GATE_I, BLANK, BLANK])
+    with pytest.raises(CompileError, match=r"^2 transitions apply at step 0: windows \[1, 3\]$"):
+        list(control_run(lay))
+
+
+def test_control_run_without_a_signal_is_a_compile_error():
+    lay = _hand_layout([BLANK, BLANK, GATE_B, GATE_I, GATE_H, GATE_I, BLANK, BLANK])
+    with pytest.raises(
+        CompileError, match="^no transition applies at step 0 and no termination in sight$"
+    ):
+        list(control_run(lay))
+
+
+def test_compile_strings_structure():
     for circuit, x, ell, d_parity, length in golden_instances():
         lay = layout(circuit, x)
-        run = control_simulate(lay)
-        s, t, t_prime = build_strings(lay, run)
+        inst = compile_circuit(circuit, x)
+        s, t, t_prime = inst.s, inst.t, inst.t_prime
         assert len(s) == len(t) == len(t_prime) == length
         # t and t_prime differ in exactly one cell, by the sim bit
         diff = [i for i in range(length) if t[i] != t_prime[i]]
@@ -364,6 +383,24 @@ def test_build_strings_structure():
         pp, dp, ap, sp = split_cell(t_prime[lay.exec_pos])
         assert (pt, dt, at) == (pp, dp, ap)
         assert (st_, sp) == (1, 0)
+        # t_prime holds the layout's bands, s its data band, both with aux and sim bits 0
+        bands = zip(lay.program, lay.data)
+        assert [split_cell(c) for c in t_prime] == [(p, d, 0, 0) for p, d in bands]
+        assert [split_cell(c)[1:] for c in s] == [(d, 0, 0) for d in lay.data]
+
+
+def test_compile_memory_does_not_grow_with_the_run():
+    # qubits 40 / h 0 runs ell 6,889 steps over 128 cells: holding every
+    # band of the run took 7.45 MB, one string at a time takes some 40 kB
+    circuit = parse_circuit("qubits 40\nh 0")
+    tracemalloc.start()
+    try:
+        inst = compile_circuit(circuit, [0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.ell == 6889
+    assert peak < 1_000_000
 
 
 def test_compile_golden_constants():

@@ -4,7 +4,7 @@ immutability, as the plain and namedtuple classes give them."""
 import pytest
 
 from walkdelta.circuits import R2_ONE, Circuit, CircuitError, Gate, Root2Frac
-from walkdelta.clock import CompiledInstance, ControlRun, Layout
+from walkdelta.clock import CompiledInstance, Layout
 from walkdelta.estimator import NoisyEstimate, SpectralMeasure
 from walkdelta.rewriting import Alphabet, RewriteError, Rule, WalkVector
 from walkdelta.verifier import Check, VerificationReport
@@ -37,12 +37,6 @@ FROZEN = {
         (2, 1, (13,), (3,), 0, 1),
         (2, 1, (13,), (3,), 0, 2),
         "Layout(block=2, width=1, program=(13,), data=(3,), register_start=0, exec_pos=1)",
-    ),
-    ControlRun: (
-        "ell",
-        (3, ((0,), (1,)), 1),
-        (3, ((0,), (1,)), 0),
-        "ControlRun(ell=3, configs=((0,), (1,)), d_parity=1)",
     ),
     SpectralMeasure: (
         "eigenvalues",

@@ -1,11 +1,14 @@
 """The window filter against full scans of every window.
 
-``clock.rule_windows`` lets ``ClockSystem.weighted_neighbors`` and
-``verifier._forward_step`` look only at windows whose program pair a rule
-reads. The references below scan every window, as both did before the
-filter, and must give the same neighbours in the same order: the order of a
-neighbour dict fixes the search order, so the positions, of a closure.
+``clock.rule_windows`` lets ``ClockSystem.weighted_neighbors``,
+``verifier._forward_step`` and ``clock.control_run`` look only at windows
+whose program pair a rule reads. The references below scan every window, as
+all three did before the filter, and must give the same neighbours in the
+same order (the order of a neighbour dict fixes the search order, so the
+positions, of a closure) and the same control run.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,12 +27,18 @@ from walkdelta.clock import (
     TRANSITIONS,
     TURN,
     backward_images,
+    CompileError,
     compile_circuit,
+    control_run,
     forward_images,
+    layout,
     rule_windows,
     split_cell,
 )
 from walkdelta.rewriting import WalkSpace
+
+from oracles import full_scan_run
+from test_circuits import random_circuit
 
 CIRCUITS = [
     ("qubits 1\nh 0", [0]),
@@ -148,3 +157,27 @@ def test_filter_exact_on_mutated_strings(h_instance, base, edits):
         s[start : start + len(cells)] = cells
     space = WalkSpace(h_instance.system)
     assert_filter_exact(h_instance.system, space, space.canonical(bytes(s)))
+
+
+def _run_to_end(run):
+    """Every (string, dummy count) a control run yields, and the message of
+    the CompileError it ends with, or None."""
+    out = []
+    try:
+        for item in run:
+            out.append(item)
+    except CompileError as exc:
+        return out, str(exc)
+    return out, None
+
+
+def test_control_run_matches_the_full_scan():
+    rng = random.Random(31)
+    cases = [(parse_circuit(text), x) for text, x in CIRCUITS]
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        circuit = random_circuit(rng, n, rng.randint(1, 6))
+        cases.append((circuit, [rng.randint(0, 1) for _ in range(n)]))
+    for circuit, x in cases:
+        lay = layout(circuit, x)
+        assert _run_to_end(control_run(lay)) == _run_to_end(full_scan_run(lay))
