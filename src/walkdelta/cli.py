@@ -6,6 +6,7 @@ decision-problem convention: 0 = positive sign (or success), 1 = negative
 sign (or failed checks), 2 = parse error, 3 = resource or compile failure,
 4 = zero/undecidable. Each ``cmd_*`` returns (inputs, outputs, passed, exit
 code); ``main`` alone times it, prints the document and returns the code.
+``main`` is the in-process API; ``run`` is the process entry.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -31,7 +33,7 @@ EXIT_RESOURCE = 3
 SIGN_EXIT = {1: 0, -1: 1, 0: 4}  # positive, negative, zero or undecided
 
 
-def _emit(command: str, inputs: dict, outputs: dict, passed: bool | None, seconds: float) -> None:
+def _document(command: str, inputs: dict, outputs: dict, passed: bool | None, seconds: float) -> str:
     doc = {
         "schema": SCHEMA,
         "command": command,
@@ -40,8 +42,22 @@ def _emit(command: str, inputs: dict, outputs: dict, passed: bool | None, second
         "passed": passed,
         "seconds": round(seconds, 6),
     }
-    json.dump(doc, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def _print_flushed(text: str, code: int) -> int:
+    """Write ``text`` to stdout and flush it, then return ``code``. A stdout
+    that is closed or cannot take the text (a full disk, a pipe whose reader
+    has gone) is a resource error: one line on stderr and EXIT_RESOURCE."""
+    try:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError("standard output is closed")
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"resource error: cannot write the result: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    return code
 
 
 def _load_circuit(args) -> tuple[Circuit, list[int]]:
@@ -219,12 +235,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else 0
+        if exc.code not in (0, None):
+            return EXIT_PARSE
+        return _print_flushed("", EXIT_OK)  # --help: argparse wrote the text
     t0 = time.perf_counter()
     try:
         inputs, outputs, passed, code = args.func(args)
-        _emit(args.command, inputs, outputs, passed, time.perf_counter() - t0)
-        return code
+        doc = _document(args.command, inputs, outputs, passed, time.perf_counter() - t0)
     except (
         VerifyError,
         ResourceFailure,
@@ -245,7 +262,24 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    return _print_flushed(doc, code)
+
+
+def run() -> None:
+    """The process entry (``python3 -m walkdelta.cli`` and the console
+    script): ``main`` on sys.argv, then the process ends with its code.
+
+    ``main`` has written and flushed the document by the time it returns, so
+    ``os._exit`` skips only CPython's finalization: module teardown and full
+    GC passes over numpy's objects, a cost the process would pay after its
+    result. The package opens no file it leaves unclosed and starts no
+    thread, and neither it nor numpy registers an ``atexit`` callback.
+    """
+    code = main()
+    if sys.stderr is not None:  # None when fd 2 was closed at start
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,8 +1,11 @@
+import ast
+import errno
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -570,14 +573,16 @@ def _command_argv(workspace, tmp_path, command) -> list[str]:
         "delta": ["delta", "--instance", str(instance), "--steps", "63"],
         "verify": ["verify", "--instance", str(instance), "--circuit", str(circuit), "--input", "0"],
         "spectral": ["spectral", "--ell", "64", "--m", "63"],
+        "estimate": ["estimate", "--instance", str(instance), "--eta", "0", "--theta", "0", "--samples", "10"],
     }[command]
 
 
 def _run_command_then(argv, check, *flags):
-    """Run cli.main(argv) in a fresh interpreter, then the assertion ``check``."""
-    src = os.path.dirname(os.path.dirname(walkdelta.__file__))
+    """Run cli.main(argv) in a fresh interpreter, then the assertion ``check``.
+    numpy's directory is on the path, so that ``estimate`` runs under -S."""
+    paths = [os.path.dirname(os.path.dirname(module.__file__)) for module in (walkdelta, np)]
     code = "import sys; from walkdelta import cli; cli.main(%r); %s" % (argv, check)
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     cmd = [sys.executable, *flags, "-c", code]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -599,6 +604,15 @@ def test_commands_leave_dataclasses_inspect_and_typing_unloaded(workspace, tmp_p
     argv = _command_argv(workspace, tmp_path, command)
     check = "bad = {'dataclasses', 'inspect', 'typing'} & set(sys.modules); assert not bad, bad"
     _run_command_then(argv, check, "-S")
+
+
+@pytest.mark.parametrize("command", ["compile", "delta", "verify", "spectral", "estimate"])
+def test_commands_register_no_atexit_callback(workspace, tmp_path, command):
+    # cli.run ends the process with os._exit, which skips atexit callbacks:
+    # with none registered by walkdelta or numpy it skips only finalization;
+    # -S keeps out site's .pth files, which may register their own
+    argv = _command_argv(workspace, tmp_path, command)
+    _run_command_then(argv, "import atexit; n = atexit._ncallbacks(); assert n == 0, n", "-S")
 
 
 def test_estimate_takes_no_dense_eigh(workspace, capsys, monkeypatch):
@@ -856,3 +870,153 @@ def test_spectral_bad_arguments_exit_2(monkeypatch, capsys, ell, m):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("parse error:")
+
+
+# -- the process entry: cli.run, through python3 -m walkdelta.cli ------------
+
+SMALL_DOCUMENT = ["spectral", "--ell", "2", "--m", "1"]
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _process(argv, stdout=subprocess.PIPE, close_stdout=False) -> subprocess.CompletedProcess:
+    """``python3 -m walkdelta.cli argv`` in a fresh interpreter; with
+    ``close_stdout``, started with fd 1 closed."""
+    src = os.path.dirname(os.path.dirname(walkdelta.__file__))
+    cmd = [sys.executable, "-m", "walkdelta.cli", *argv]
+    if close_stdout:
+        cmd = ["sh", "-c", 'exec "$@" >&-', "sh", *cmd]
+    # stdout is block-buffered by default: with PYTHONUNBUFFERED set, a
+    # document os._exit would lose if main did not flush it still arrives
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    return subprocess.run(cmd, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+def _without_seconds(out: str):
+    if not out:
+        return out
+    doc = json.loads(out)
+    del doc["seconds"]
+    return doc
+
+
+def _argv_for_exit_code(workspace, tmp_path, code) -> list[str]:
+    _, _, instance = workspace
+    if code == 3:  # estimate refuses the three-vertex path a-b-c
+        path = tmp_path / "path.json"
+        system = {"alphabet": ["a", "b", "c"], "window": 1, "rules": [[["a"], ["b"]], [["b"], ["c"]]]}
+        path.write_text(json.dumps({"system": system, "s": ["a"], "t": ["b"], "t_prime": ["c"], "m": 2}))
+        return ["estimate", "--instance", str(path), "--eta", "0", "--theta", "0", "--samples", "10"]
+    if code == 4:  # toffoli 0 on 110 has amplitude 0, so Delta(n) = 0 for every n
+        path = tmp_path / "toffoli.json"
+        compile_circuit(parse_circuit("qubits 3\ntoffoli 0\n"), [1, 1, 0]).save(path)
+        return ["delta", "--instance", str(path), "--steps", "81"]
+    return {
+        0: SMALL_DOCUMENT,
+        1: ["delta", "--instance", str(instance), "--steps", "63"],
+        2: ["delta", "--instance", str(tmp_path / "missing.json"), "--steps", "3"],
+    }[code]
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3, 4])
+def test_process_ends_as_main_returns(workspace, tmp_path, capsys, code):
+    argv = _argv_for_exit_code(workspace, tmp_path, code)
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    proc = _process(argv)
+    assert proc.returncode == code
+    assert proc.stderr == captured.err
+    assert _without_seconds(proc.stdout) == _without_seconds(captured.out)
+
+
+def test_process_prints_help_as_main_does(capsys, monkeypatch):
+    # argparse writes --help to stdout and exits; main flushes it
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(["--help"]) == 0
+    proc = _process(["--help"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+
+def test_process_pipes_a_90204_digit_document_whole(workspace):
+    # the document is past the pipe's buffer; main flushes it before os._exit
+    _, _, instance = workspace
+    proc = _process(["delta", "--instance", str(instance), "--steps", "200001"])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    delta = json.loads(proc.stdout)["outputs"]["delta"]
+    assert delta[0] == "-" and len(delta) == 1 + 90_204
+
+
+def test_process_compile_writes_the_in_process_file(workspace, tmp_path):
+    _, circuit, _ = workspace
+    compile_circuit(parse_circuit(circuit.read_text()), [0]).save(tmp_path / "in-process.json")
+    out = tmp_path / "process.json"
+    proc = _process(["compile", "--circuit", str(circuit), "--input", "0", "-o", str(out)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_bytes() == (tmp_path / "in-process.json").read_bytes()
+
+
+def _oserror(code: int) -> str:
+    return str(OSError(code, os.strerror(code)))
+
+
+@pytest.mark.parametrize(
+    "sink, size",
+    [
+        ("closed-pipe", "small"),
+        ("closed-pipe", "large"),
+        ("dev-full", "small"),
+        ("dev-full", "large"),
+        ("closed-fd", "small"),
+    ],
+)
+def test_process_unwritable_stdout_exit_3(workspace, sink, size):
+    # exit 2 would read as a parse error, and a traceback's exit 1 as a
+    # negative sign; the large document (90,204 digits) is past any buffer
+    _, _, instance = workspace
+    argv = SMALL_DOCUMENT if size == "small" else ["delta", "--instance", str(instance), "--steps", "200001"]
+    if sink == "closed-pipe":
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _process(argv, stdout=write)
+        finally:
+            os.close(write)
+        reason = _oserror(errno.EPIPE)
+    elif sink == "dev-full":
+        with open("/dev/full", "w") as full:
+            proc = _process(argv, stdout=full)
+        reason = _oserror(errno.ENOSPC)
+    else:
+        proc = _process(argv, stdout=None, close_stdout=True)
+        reason = "standard output is closed"
+    assert proc.returncode == 3
+    assert proc.stderr == f"resource error: cannot write the result: {reason}\n"
+
+
+class _BrokenPipe:
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("stdout", [_BrokenPipe(), None], ids=["broken-pipe", "closed"])
+def test_unwritable_stdout_exit_3(capsys, monkeypatch, stdout):
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(SMALL_DOCUMENT) == 3
+    reason = _oserror(errno.EPIPE) if stdout else "standard output is closed"
+    assert capsys.readouterr().err == f"resource error: cannot write the result: {reason}\n"
+
+
+def test_console_script_and_module_both_call_run():
+    # the installed command and python3 -m walkdelta.cli end the same way;
+    # Python 3.10 has no tomllib, so the script line is read as text
+    assert 'walkdelta = "walkdelta.cli:run"' in (ROOT / "pyproject.toml").read_text().splitlines()
+    tree = ast.parse((ROOT / "src" / "walkdelta" / "cli.py").read_text())
+    blocks = [
+        node.body
+        for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [[ast.unparse(statement) for statement in body] for body in blocks] == [["run()"]]
