@@ -55,9 +55,21 @@ def _print_flushed(text: str, code: int) -> int:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        print(f"resource error: cannot write the result: {exc}", file=sys.stderr)
+        _print_stderr(f"resource error: cannot write the result: {exc}\n")
         return EXIT_RESOURCE
     return code
+
+
+def _print_stderr(text: str) -> None:
+    """Write ``text`` to stderr and flush it, if stderr takes it. A stderr
+    that is closed (``sys.stderr`` None, where ``print`` would fall back on
+    stdout) or cannot be written changes neither stdout nor the exit code."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text)
+            sys.stderr.flush()
+        except OSError:
+            pass
 
 
 def _load_circuit(args) -> tuple[Circuit, list[int]]:
@@ -249,7 +261,7 @@ def main(argv=None) -> int:
         MemoryError,
         OverflowError,
     ) as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+        _print_stderr(f"resource error: {exc}\n")
         return EXIT_RESOURCE
     except (
         CircuitError,
@@ -260,7 +272,7 @@ def main(argv=None) -> int:
         KeyError,
         OSError,
     ) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        _print_stderr(f"parse error: {exc}\n")
         return EXIT_PARSE
     return _print_flushed(doc, code)
 
@@ -276,8 +288,7 @@ def run() -> None:
     thread, and neither it nor numpy registers an ``atexit`` callback.
     """
     code = main()
-    if sys.stderr is not None:  # None when fd 2 was closed at start
-        sys.stderr.flush()
+    _print_stderr("")  # flushes what argparse or a warning left buffered
     os._exit(code)
 
 

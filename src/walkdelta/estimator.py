@@ -30,7 +30,7 @@ from collections import namedtuple
 import numpy as np
 
 from .clock import CompiledInstance
-from .verifier import ReachableGraph, orbit, orthonormal
+from .verifier import ReachableGraph, orbit, orthonormality_fault
 
 MAX_DENSE_VERTICES = 4000
 
@@ -185,7 +185,7 @@ def orbit_measures(
 
     The orbit w_j of e_t - e_t' (``verifier.orbit``) gives
     u_j = w_j / sqrt(2)^(j+1). Its supports must be disjoint and
-    |w_j|^2 = 2^(j+1) (``verifier.orthonormal``): the u_j are then
+    |w_j|^2 = 2^(j+1) (``verifier.orthonormality_fault``): the u_j are then
     orthonormal, and the orbit stops inside the finite component, after ell
     neighbour generations on a compiled instance. By the recurrence
     A u_j = sqrt(2) (u_(j-1) + u_(j+1)), so their span W and its complement are
@@ -202,8 +202,10 @@ def orbit_measures(
     s = instance.s
     # (j, w_j) for the one support that holds s, if any: the supports being
     # disjoint, a_j is zero for every other j
-    k, hit = 0, None
-    for j, w in enumerate(orthonormal(orbit(instance), EstimateError)):
+    k, hit, seen = 0, None, set()
+    for j, w in enumerate(orbit(instance)):
+        if fault := orthonormality_fault(j, w, seen):
+            raise EstimateError(fault)
         if s in w:
             hit = (j, w)
         k = j + 1

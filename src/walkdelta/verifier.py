@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import islice
 
 from . import spectral
@@ -155,11 +155,14 @@ def orbit_check(
     The orbit u_0 = (t - t') / sqrt(2), u_{j+1} = F u_j / sqrt(2) is held as
     the integer vectors w_j = sqrt(2)^(j+1) u_j = F^j (e_t - e_t') on the
     strings of the given walk space (or a new one). Verifies no backward step
-    out of the initial strings, termination after ell steps, orthonormality
-    (|w_j|^2 = 2^(j+1), disjoint supports) and A w_j - 2 w_{j-1} = w_{j+1},
-    the recurrence that ``exact_delta`` sums over, with single derivations:
-    the tridiagonal restricted matrix, at a cost linear in the orbit's
-    support.
+    out of the initial strings, then, in one pass over j = 0..ell-1, forms
+    F w_j and checks w_j: at most one active forward window per string
+    (j < ell - 1), orthonormality (``orthonormality_fault``) and
+    A w_j - 2 w_{j-1} = F w_j (0 at j = ell - 1), the recurrence that
+    ``exact_delta`` sums over, over the walk space's adjacency, with single
+    derivations: the tridiagonal restricted matrix, at a cost linear in the
+    orbit's support. Only w_{j-1}, w_j, F w_j and the strings of the
+    supports so far are held; F w_{ell-1} must be zero (termination).
     """
     ell = instance.ell
     if space is None:
@@ -172,50 +175,45 @@ def orbit_check(
                 bad.append((label, j))
     report.add("no_backward_step_from_start", not bad, offending=bad)
 
-    w = [{space.canonical(x): c for x, c in _difference(instance).items()}]
-    unique_all = True
-    for i in range(ell - 1):
-        nxt, unique = _forward_step(space, w[-1])
-        unique_all = unique_all and unique
-        if not nxt:
-            report.add("orbit_length", False, stopped_at=i + 1, expected=ell)
-            return
-        w.append(nxt)
-    report.add("forward_window_unique", unique_all)
-
-    terminal, _ = _forward_step(space, w[-1])
-    report.add("orbit_terminates", not terminal, extra_support=len(terminal))
-
-    ortho_ok = True
-    try:
-        for _ in orthonormal(w, VerifyError):
-            pass
-    except VerifyError:
-        ortho_ok = False
-    report.add("orbit_orthonormal", ortho_ok)
-
-    mismatch = None
-    for j, wj in enumerate(w):
-        got = three_term(wj, w[j - 1] if j else {}, space.adjacency)
-        if mismatch is None and got != (w[j + 1] if j + 1 < len(w) else {}):
-            mismatch = j
-    report.add("restricted_hamiltonian_is_path", mismatch is None, mismatch=mismatch)
-    report.add("orbit_edges_single_derivation", space.multiple.isdisjoint(set().union(*w)))
-
-
-def orthonormal(vectors: Iterable[dict], error: type) -> Iterator[dict]:
-    """Pass an orbit through while the u_j = w_j / sqrt(2)^(j+1) are orthonormal
-    (disjoint supports, |w_j|^2 = 2^(j+1)); raise ``error`` at the first that is not."""
+    prev, w = {}, {space.canonical(x): c for x, c in _difference(instance).items()}
     seen: set = set()
-    for j, w in enumerate(vectors):
-        norm2 = sum(c * c for c in w.values())
-        if not seen.isdisjoint(w) or norm2 != 1 << (j + 1):
-            raise error(
-                f"orbit of e_t - e_t' is not orthonormal at w_{j}: its support meets an "
-                f"earlier one or |w_{j}|^2 = {norm2} is not 2^{j + 1}"
-            )
-        seen.update(w)
-        yield w
+    unique_all = ortho_ok = True
+    mismatch = None
+    for j in range(ell):
+        fw, unique = _forward_step(space, w)
+        last = j == ell - 1
+        if not last:
+            unique_all &= unique
+            if not fw:
+                report.add("orbit_length", False, stopped_at=j + 1, expected=ell)
+                return
+        ortho_ok &= orthonormality_fault(j, w, seen) is None
+        # A w_j at every j, past a mismatch too: it generates the adjacency
+        # whose multiple derivations the last check reads
+        if three_term(w, prev, space.adjacency) != ({} if last else fw) and mismatch is None:
+            mismatch = j
+        prev, w = w, fw
+    report.add("forward_window_unique", unique_all)
+    report.add("orbit_terminates", not w, extra_support=len(w))
+    report.add("orbit_orthonormal", ortho_ok)
+    report.add("restricted_hamiltonian_is_path", mismatch is None, mismatch=mismatch)
+    report.add("orbit_edges_single_derivation", space.multiple.isdisjoint(seen))
+
+
+def orthonormality_fault(j: int, w: dict, seen: set) -> str | None:
+    """Why u_j = w_j / sqrt(2)^(j+1) does not extend an orthonormal orbit,
+    or None when it does: its support is disjoint from ``seen``, the strings
+    of the earlier supports, and |w_j|^2 = 2^(j+1). Adds the support of w_j
+    to ``seen`` either way."""
+    norm2 = sum(c * c for c in w.values())
+    fault = not seen.isdisjoint(w) or norm2 != 1 << (j + 1)
+    seen.update(w)
+    if fault:
+        return (
+            f"orbit of e_t - e_t' is not orthonormal at w_{j}: its support meets an "
+            f"earlier one or |w_{j}|^2 = {norm2} is not 2^{j + 1}"
+        )
+    return None
 
 
 def _difference(instance: CompiledInstance) -> dict:

@@ -1009,6 +1009,36 @@ def test_unwritable_stdout_exit_3(capsys, monkeypatch, stdout):
     assert capsys.readouterr().err == f"resource error: cannot write the result: {reason}\n"
 
 
+@pytest.mark.parametrize("stderr", ["closed", "read-only"])
+@pytest.mark.parametrize("case", ["parse", "resource", "unwritable-stdout"])
+def test_process_unwritable_stderr_changes_neither_stdout_nor_exit_code(
+    workspace, tmp_path, stderr, case
+):
+    # with fd 2 closed, sys.stderr is None and print(file=None) would write
+    # to stdout, where a reader expects a document or nothing; an OSError
+    # from a read-only fd 2 escaping main would exit 1, the code of a
+    # negative sign. The child's stdout is unbuffered, so that whatever
+    # reaches it shows although run ends the process with os._exit
+    out = tmp_path / "stdout"
+    out.write_bytes(b"")
+    if case == "unwritable-stdout":  # fd 1 read-only: every write fails
+        argv, code, mode = SMALL_DOCUMENT, 3, "rb"
+    else:
+        code = {"parse": 2, "resource": 3}[case]
+        argv, mode = _argv_for_exit_code(workspace, tmp_path, code), "wb"
+    src = os.path.dirname(os.path.dirname(walkdelta.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"}
+    with open(out, mode) as stdout, open(os.devnull, "rb") as read_only:
+        proc = subprocess.run(
+            [sys.executable, "-m", "walkdelta.cli", *argv],
+            env=env,
+            stdout=stdout,
+            stderr=read_only if stderr == "read-only" else None,
+            preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None,
+        )
+    assert (proc.returncode, out.read_text()) == (code, "")
+
+
 def test_console_script_and_module_both_call_run():
     # the installed command and python3 -m walkdelta.cli end the same way;
     # Python 3.10 has no tomllib, so the script line is read as text

@@ -597,3 +597,44 @@ def test_verify_generates_each_neighbourhood_once(h_setup, monkeypatch):
     monkeypatch.setattr(ClockSystem, "weighted_neighbors", counted)
     assert verify(inst, circuit, x).all_passed
     assert calls and max(calls.values()) == 1
+
+
+
+def _failure_reports(ell):
+    """orbit_check's reports when the instance's ell is off by 2 either way,
+    and when t = t', for an orbit of ell vectors."""
+    start = ("no_backward_step_from_start", True, {"offending": []})
+    return {
+        "ell+2": [start, ("orbit_length", False, {"stopped_at": ell, "expected": ell + 2})],
+        "ell-2": [
+            start,
+            ("forward_window_unique", True, {}),
+            ("orbit_terminates", False, {"extra_support": 8}),
+            ("orbit_orthonormal", True, {}),
+            ("restricted_hamiltonian_is_path", False, {"mismatch": ell - 3}),
+            ("orbit_edges_single_derivation", True, {}),
+        ],
+        "t=t'": [start, ("orbit_length", False, {"stopped_at": 1, "expected": ell})],
+    }
+
+
+@pytest.mark.parametrize("case", ["ell+2", "ell-2", "t=t'"])
+@pytest.mark.parametrize(
+    "text, x, ell",
+    [("qubits 1\nh 0", [0], 64), ("qubits 2\nh 0\n---\nswap 0", [0, 0], 252)],
+    ids=["ell-64", "ell-252"],
+)
+def test_orbit_check_failure_reports(text, x, ell, case):
+    # an orbit that stops before ell reports its length and nothing after; one
+    # checked for ell - 2 steps does not terminate, and its A w_j misses the
+    # path's end at j = ell - 3, while the other orbit checks still pass
+    inst = compile_circuit(parse_circuit(text), x)
+    assert inst.ell == ell
+    bad = {
+        "ell+2": inst._replace(ell=ell + 2),
+        "ell-2": inst._replace(ell=ell - 2),
+        "t=t'": inst._replace(t_prime=inst.t),
+    }[case]
+    report = VerificationReport()
+    verifier.orbit_check(bad, report)
+    assert [tuple(c) for c in report.checks] == _failure_reports(ell)[case]
