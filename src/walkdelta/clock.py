@@ -32,7 +32,7 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
-from .circuits import Circuit, Gate, validate
+from .circuits import Circuit, validate
 from .rewriting import Alphabet, RewritingSystem
 from . import spectral
 
@@ -350,40 +350,20 @@ class ClockSystem:
         }
 
 
-class Layout(namedtuple("Layout", "block width program data register_start exec_pos")):
-    """Initial program and data bands for one compiled circuit.
-
-    ``block`` is the cells per block (one separator slot plus one per
-    qubit), ``width`` the number of program blocks, ``program`` and ``data``
-    the two bands, ``register_start`` the index of the first qubit cell and
-    ``exec_pos`` that of the initial execution marker.
-    """
-
-    __slots__ = ()
-
-    @property
-    def length(self) -> int:
-        return len(self.data)
-
-
-def _gate_slot(gate: Gate) -> int:
-    # slot q+1 sits above qubit q; a gate's symbol goes above the rightmost
-    # cell it acts on (its target for Toffoli)
-    if gate.kind == "h":
-        return gate.qubit + 1
-    if gate.kind == "swap":
-        return gate.qubit + 2
-    return gate.qubit + 3
-
-
 # the longest control run compile_circuit follows before it gives up
 MAX_CONTROL_STEPS = 1_000_000
 
 
-def layout(circuit: Circuit, x: Sequence[int]) -> Layout:
-    """The bands of a circuit on input x. The execution marker's first sweep
-    passes all w * n program cells (w blocks of n = qubits + 1), so
-    ell >= w * n - 1: past ``MAX_CONTROL_STEPS`` no run can end, and no band is built."""
+def layout(circuit: Circuit, x: Sequence[int]) -> bytes:
+    """The first string t' of the control run of a circuit on input x: the
+    program band over the data band, aux and sim bits 0.
+
+    The program has w blocks of n = qubits + 1 cells and starts (w - 1) * n
+    cells right of where the run ends it; each one-cell shift left is a
+    round trip of 2 * w * n + 4 steps, so ell >= 2 * (w - 1) * n * (w * n + 2).
+    A circuit whose bound is past ``MAX_CONTROL_STEPS`` is refused before
+    any band is built, as is one of more program cells than that: at w = 1
+    the bound is 0 and the run ends within its first sweep."""
     validate(circuit)
     nq = circuit.n_qubits
     if len(x) > nq:
@@ -392,15 +372,10 @@ def layout(circuit: Circuit, x: Sequence[int]) -> Layout:
         raise CompileError("input bits must be 0 or 1")
     n = nq + 1
 
-    layers: list[dict[int, int]] = []
-    for layer in circuit.layers:
-        slots: dict[int, int] = {}
-        for gate in layer:
-            slot = _gate_slot(gate)
-            if slot in slots:
-                raise CompileError(f"slot collision at {slot}")
-            slots[slot] = GATE_CODE[gate.kind]
-        layers.append(slots)
+    # slot q + 1 sits above qubit q; a gate's symbol goes above the rightmost
+    # qubit it acts on (its target for Toffoli), and validate keeps the gates
+    # of a layer, so their slots, apart
+    layers = [{g.span.stop: GATE_CODE[g.kind] for g in layer} for layer in circuit.layers]
 
     # the initial execution marker occupies slot 1 of the first block; if the
     # first layer needs that slot, push everything one layer back
@@ -410,62 +385,39 @@ def layout(circuit: Circuit, x: Sequence[int]) -> Layout:
     # terminating boundary symbol: earliest slot of the last block strictly
     # after its gates, above a register cell; spill into a fresh block if the
     # last layer ends on the final qubit
-    last_slot = max(layers[-1], default=0)
-    if last_slot + 1 <= n - 1:
-        b_slot = last_slot + 1
-    else:
+    b_slot = max(layers[-1], default=0) + 1
+    if b_slot == n:
         layers.append({})
         b_slot = 1
-    if b_slot in layers[-1]:
-        raise CompileError("terminating boundary collides with a gate")
     layers[-1][b_slot] = GATE_B
 
     w = len(layers)
-    if w * n - 1 > MAX_CONTROL_STEPS:
-        raise CompileError(f"{w * n} program cells need over {MAX_CONTROL_STEPS} control steps")
-    program_code: list[int] = []
-    for i, slots in enumerate(layers):
-        for slot in range(n):
-            if i == 0 and slot == 0:
-                program_code.append(GATE_B)
-            elif i == 0 and slot == 1:
-                program_code.append(EXEC)
-            else:
-                program_code.append(slots.get(slot, GATE_I))
-    program_code.append(GATE_I)  # program must end above a separator
+    steps = 2 * (w - 1) * n * (w * n + 2)
+    if steps > MAX_CONTROL_STEPS:
+        raise CompileError(
+            f"the control run needs at least {steps} steps, over the limit of {MAX_CONTROL_STEPS}"
+        )
+    if w * n > MAX_CONTROL_STEPS:
+        raise CompileError(f"{w * n} program cells are over the limit of {MAX_CONTROL_STEPS}")
+    layers[0][0], layers[0][1] = GATE_B, EXEC  # left boundary, execution marker
+    # the program starts above the register separator and, one identity
+    # cell past its blocks, ends above the last separator
+    program = [slots.get(slot, GATE_I) for slots in layers for slot in range(n)]
+    program = [BLANK] * (2 + (w - 1) * n) + program + [GATE_I, BLANK, BLANK]
 
     # data band: two-cell margins, separator-led spacer blocks on both sides,
     # register block in the middle holding x padded with zeros
     bits = list(x) + [0] * (nq - len(x))
-    data: list[int] = [DOT, DOT]
-    for _ in range(w - 1):
-        data.extend([SEP] + [DOT] * (n - 1))
-    register_start = len(data) + 1
-    data.extend([SEP] + [D1 if b else D0 for b in bits])
-    for _ in range(w - 1):
-        data.extend([SEP] + [DOT] * (n - 1))
-    data.extend([SEP, DOT, DOT])
-
-    p_start = 2 + (w - 1) * n  # initial program start: above the register separator
-    program = [BLANK] * len(data)
-    for i, sym in enumerate(program_code):
-        program[p_start + i] = sym
-    assert p_start + len(program_code) == len(data) - 2
-
-    return Layout(
-        block=n,
-        width=w,
-        program=tuple(program),
-        data=tuple(data),
-        register_start=register_start,
-        exec_pos=p_start + 1,
-    )
+    register = [SEP] + [D1 if b else D0 for b in bits]
+    spacers = ([SEP] + [DOT] * nq) * (w - 1)
+    data = [DOT, DOT] + spacers + register + spacers + [SEP, DOT, DOT]
+    return bytes(make_cell(p, d, 0, 0) for p, d in zip(program, data))
 
 
-def control_run(lay: Layout) -> Iterator[tuple[bytes, int]]:
-    """The run of a layout: each string of the trajectory as ``bytes`` (the
-    program band over the data band, aux and sim bits 0), with the number of
-    dummy-Hadamard steps taken to reach it.
+def control_run(s: bytes) -> Iterator[tuple[bytes, int]]:
+    """The run from a first string s, as ``layout`` gives it: each string of
+    the trajectory as ``bytes``, with the number of dummy-Hadamard steps
+    taken to reach it.
 
     Only the program track moves; the data track enters through its fixed
     formatting (separator positions and register extent).  Each step tests
@@ -474,7 +426,6 @@ def control_run(lay: Layout) -> Iterator[tuple[bytes, int]]:
     the run ends at the string whose unique matching window is the
     boundary-gate annihilation.
     """
-    s = bytes(make_cell(p, d, 0, 0) for p, d in zip(lay.program, lay.data))
     dummy_steps = 0
     for step in range(MAX_CONTROL_STEPS):
         yield s, dummy_steps
@@ -627,11 +578,10 @@ def compile_circuit(circuit: Circuit, x: Sequence[int]) -> CompiledInstance:
     control run, t the same with sim bit 1 above the execution marker, and
     s the last string, where the data register still holds x, so a walk
     reaching it reads off the return amplitude."""
-    lay = layout(circuit, x)
-    for ell, (s, dummy_steps) in enumerate(control_run(lay), 1):
-        if ell == 1:
-            t_prime = s
-    e = lay.exec_pos
+    t_prime = layout(circuit, x)
+    for ell, (s, dummy_steps) in enumerate(control_run(t_prime), 1):
+        pass
+    e = t_prime.translate(BAND).index(EXEC << 4)  # t' holds one execution marker
     t = t_prime[:e] + bytes((t_prime[e] | 1,)) + t_prime[e + 1 :]
     c, epsilon = growth_constants(ell)
     instance = CompiledInstance(

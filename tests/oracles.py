@@ -25,7 +25,6 @@ from walkdelta.clock import (
     X_HADAMARD,
     CompiledInstance,
     CompileError,
-    Layout,
     _images,
     backward_images,
     execution_class,
@@ -134,12 +133,12 @@ def scan_rules(spot_checks: int = 20000, seed: int = 0) -> ScanReport:
     )
 
 
-def full_scan_run(lay: Layout) -> Iterator[tuple[bytes, int]]:
+def full_scan_run(first: bytes) -> Iterator[tuple[bytes, int]]:
     """Reference for ``clock.control_run``: the same strings, dummy counts
     and errors, from a step that tests every window of the program band
     rather than those ``rule_windows`` finds."""
-    data = lay.data
-    prog = list(lay.program)
+    data = [split_cell(c)[1] for c in first]
+    prog = [split_cell(c)[0] for c in first]
     dummy_steps = 0
     for step in range(clock.MAX_CONTROL_STEPS):
         yield bytes(make_cell(p, d, 0, 0) for p, d in zip(prog, data)), dummy_steps

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -527,7 +528,8 @@ def test_delta_at_ell_9072_peak_rss_under_50_mb(tmp_path):
 
 
 def test_resource_error_exit_3(workspace, capsys, monkeypatch):
-    # the h 0 layout has 3 blocks of 2 cells, so no control run under 5 steps
+    # the h 0 layout has 3 blocks of 2 cells, so its control run takes at
+    # least 2 * 2 * 2 * 8 = 64 steps
     root, circuit, _ = workspace
     out = root / "tiny.json"
     monkeypatch.setattr(clock, "MAX_CONTROL_STEPS", 4)
@@ -535,8 +537,78 @@ def test_resource_error_exit_3(workspace, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err == "resource error: 6 program cells need over 4 control steps\n"
+    assert captured.err == (
+        "resource error: the control run needs at least 64 steps, over the limit of 4\n"
+    )
     assert not out.exists()
+
+
+def test_compile_refuses_a_run_past_the_step_limit_at_once(tmp_path, capsys):
+    # qubits 600 / h 0 has 2 blocks of 601 cells, so its run takes at least
+    # 2 * 601 * 1204 steps, past the 1,000,000 that compile follows
+    circuit = tmp_path / "wide.txt"
+    circuit.write_text("qubits 600\nh 0\n")
+    out = tmp_path / "wide.json"
+    start = time.perf_counter()
+    code = cli.main(["compile", "--circuit", str(circuit), "--input", "0", "-o", str(out)])
+    seconds = time.perf_counter() - start
+    assert (code, capsys.readouterr()) == (
+        3,
+        ("", "resource error: the control run needs at least 1447208 steps, "
+         "over the limit of 1000000\n"),
+    )
+    assert seconds < 1
+    assert not out.exists()
+
+
+def _delta_on(document):
+    def argv(tmp_path, instance):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(document(instance)))
+        return ["delta", "--instance", str(path), "--steps", "2"]
+
+    return argv
+
+
+def _toy_with_rules(*rules):
+    return lambda instance: {**TOY, "system": {**TOY["system"], "rules": list(rules)}}
+
+
+def _clock_alphabet_edited(instance):
+    doc = json.loads(instance.read_text())
+    alphabet = ["z"] + doc["system"]["alphabet"][1:]
+    return {**doc, "system": {**doc["system"], "alphabet": alphabet}}
+
+
+def _compile_comment_only(tmp_path, instance):
+    circuit = tmp_path / "comment.txt"
+    circuit.write_text("# a comment and nothing else\n")
+    return ["compile", "--circuit", str(circuit), "--input", "0", "-o", str(tmp_path / "o.json")]
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (_delta_on(lambda instance: {**TOY, "s": ["z", "a"]}), "unknown token 'z'"),
+        (_delta_on(_toy_with_rules([["a"], ["z"]])), "unknown token 'z'"),
+        (_delta_on(_toy_with_window(0)), "window must be >= 1"),
+        (_delta_on(_toy_with_rules([["a", "a"], ["b", "b"]])), "rule wider than window: (0, 0)"),
+        (_delta_on(_clock_alphabet_edited), "alphabet mismatch in instance file"),
+        (_compile_comment_only, "missing 'qubits N' header"),
+    ],
+    ids=[
+        "explicit-unknown-token-in-s",
+        "explicit-unknown-token-in-a-rule",
+        "explicit-window-0",
+        "explicit-rule-wider-than-window",
+        "clock-alphabet-edited",
+        "circuit-without-header",
+    ],
+)
+def test_refusal_exit_2_with_its_one_line(workspace, tmp_path, capsys, argv, line):
+    _, _, instance = workspace
+    assert cli.main(argv(tmp_path, instance)) == 2
+    assert capsys.readouterr() == ("", f"parse error: {line}\n")
 
 
 def test_removed_options_exit_2(workspace, capsys):

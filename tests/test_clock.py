@@ -36,7 +36,6 @@ from walkdelta.clock import (
     ClockSystem,
     CompileError,
     CompiledInstance,
-    Layout,
     backward_images,
     cell_token,
     check_boundary_inert,
@@ -49,6 +48,8 @@ from walkdelta.clock import (
     rule_windows,
     split_cell,
 )
+
+from test_circuits import random_circuit
 
 GOLDEN = [
     ("qubits 1\nh 0", [0], 64, 0, 15),
@@ -285,108 +286,142 @@ def test_no_window_is_bidirectional():
             assert not backward_images(trip)
 
 
+def _names(first):
+    return [PROGRAM_NAMES[c >> 4] for c in first if c >> 4 != BLANK]
+
+
+def _blocks(first):
+    # the cells per block and the number of program blocks of a layout's
+    # string: its data band holds 2 * width separators, a block apart
+    seps = [i for i, c in enumerate(first) if (c >> 2) & 3 == SEP]
+    return seps[1] - seps[0], len(seps) // 2
+
+
 def test_layout_four_qubit_program_band():
     # two layers on four qubits: Toffoli(0,1,2) and H(3), then H(0), Swap(1,2)
     circuit = parse_circuit("qubits 4\ntoffoli 0\nh 3\n---\nh 0\nswap 1")
-    lay = layout(circuit, [0, 0, 0, 0])
-    names = [PROGRAM_NAMES[p] for p in lay.program if p != BLANK]
-    assert names == ["B", "EXEC", "I", "T", "H", "I", "H", "I", "S", "B", "I"]
-    assert lay.block == 5
-    assert lay.width == 2
+    first = layout(circuit, [0, 0, 0, 0])
+    assert _names(first) == ["B", "EXEC", "I", "T", "H", "I", "H", "I", "S", "B", "I"]
+    assert _blocks(first) == (5, 2)
 
 
 def test_layout_prepends_identity_layer():
     # a first-layer H on qubit 0 claims slot 1, which the markers start in,
     # so an all-identity layer is inserted before it
-    lay = layout(parse_circuit("qubits 1\nh 0"), [0])
-    names = [PROGRAM_NAMES[p] for p in lay.program if p != BLANK]
+    first = layout(parse_circuit("qubits 1\nh 0"), [0])
     # identity layer before the H, terminator block after it
-    assert names == ["B", "EXEC", "I", "H", "I", "B", "I"]
-    assert lay.width == 3
+    assert _names(first) == ["B", "EXEC", "I", "H", "I", "B", "I"]
+    assert _blocks(first)[1] == 3
 
 
 def test_layout_data_band_shape():
-    lay = layout(parse_circuit("qubits 1\nh 0"), [0])
-    assert len(lay.data) == len(lay.program) == lay.length
-    assert len(lay.data) == (2 * lay.width - 1) * lay.block + 5
-    # separators every block cells, register holds the input bit
-    assert lay.data[lay.register_start] == D0
-    seps = [i for i, d in enumerate(lay.data) if d == SEP]
-    assert all(b - a == lay.block for a, b in zip(seps, seps[1:]))
+    first = layout(parse_circuit("qubits 1\nh 0"), [0])
+    block, width = _blocks(first)
+    assert len(first) == (2 * width - 1) * block + 5
+    # separators every block cells, register holds the input bit under the
+    # execution marker
+    data = [(c >> 2) & 3 for c in first]
+    assert data[[c >> 4 for c in first].index(EXEC)] == D0
+    seps = [i for i, d in enumerate(data) if d == SEP]
+    assert all(b - a == block for a, b in zip(seps, seps[1:]))
 
 
 def test_control_run_golden_lengths():
     for circuit, x, ell, d_parity, length in golden_instances():
-        lay = layout(circuit, x)
-        strings, dummy_steps = zip(*control_run(lay))
+        first = layout(circuit, x)
+        strings, dummy_steps = zip(*control_run(first))
         assert len(strings) == ell
         assert dummy_steps[-1] % 2 == d_parity
-        assert lay.length == length
+        assert len(first) == length
         assert len(set(strings)) == ell
 
 
-def test_layout_refuses_a_first_sweep_past_the_step_limit(monkeypatch):
-    # the marker's first sweep passes all w * n program cells, so
-    # ell >= w * n - 1: a step limit below that is refused before the bands
-    # are built, and one at it is left to the control run
-    for circuit, x, ell, _, _ in golden_instances():
-        lay = layout(circuit, x)
-        assert ell >= lay.width * lay.block - 1
-    circuit = parse_circuit("qubits 1\nh 0")  # 3 blocks of 2 cells, ell 64
+def test_layout_refuses_a_run_past_the_step_limit(monkeypatch):
+    # the program of w blocks of n cells starts (w - 1) * n cells right of
+    # where the run ends it, and each one-cell shift is a round trip of
+    # 2 * w * n + 4 steps: a step limit below that bound is refused before
+    # the bands are built, and one at it is left to the control run
+    rng = random.Random(34)
+    cases = [(circuit, x) for circuit, x, _, _, _ in golden_instances()]
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        circuit = random_circuit(rng, n, rng.randint(1, 6))
+        cases.append((circuit, [rng.randint(0, 1) for _ in range(n)]))
+    for circuit, x in cases:
+        first = layout(circuit, x)
+        n, w = _blocks(first)
+        assert 2 * (w - 1) * n * (w * n + 2) <= sum(1 for _ in control_run(first))
+    h0 = parse_circuit("qubits 1\nh 0")  # 3 blocks of 2 cells: bound 64, ell 64
+    monkeypatch.setattr(clock, "MAX_CONTROL_STEPS", 64)
+    assert compile_circuit(h0, [0]).ell == 64
+    monkeypatch.setattr(clock, "MAX_CONTROL_STEPS", 63)
+    with pytest.raises(
+        CompileError, match="^the control run needs at least 64 steps, over the limit of 63$"
+    ):
+        layout(h0, [0])
+    wide = parse_circuit("qubits 2\nh 0")  # 2 blocks of 3 cells: bound 48, ell 49
+    monkeypatch.setattr(clock, "MAX_CONTROL_STEPS", 48)
+    with pytest.raises(CompileError, match="^no termination within 48 steps$"):
+        compile_circuit(wide, [0])
+    # one block: the bound is 0 and the run ends in its first sweep, but a
+    # program band of more cells than the limit is still refused
+    swap = parse_circuit("qubits 4\nswap 0")  # 1 block of 5 cells, ell 2
     monkeypatch.setattr(clock, "MAX_CONTROL_STEPS", 5)
-    assert layout(circuit, [0]).width == 3
-    with pytest.raises(CompileError, match="^no termination within 5 steps$"):
-        compile_circuit(circuit, [0])
+    assert compile_circuit(swap, [0]).ell == 2
     monkeypatch.setattr(clock, "MAX_CONTROL_STEPS", 4)
-    with pytest.raises(CompileError, match="^6 program cells need over 4 control steps$"):
-        layout(circuit, [0])
+    with pytest.raises(CompileError, match="^5 program cells are over the limit of 4$"):
+        layout(swap, [0])
 
 
 def test_control_run_margins_stay_blank():
-    lay = layout(parse_circuit("qubits 1\nh 0"), [0])
-    for s, _ in control_run(lay):
-        assert len(s) == lay.length
+    first = layout(parse_circuit("qubits 1\nh 0"), [0])
+    for s, _ in control_run(first):
+        assert len(s) == len(first)
         program = [split_cell(c)[0] for c in s]
         assert program[0] == program[1] == BLANK
         assert program[-1] == program[-2] == BLANK
 
 
-def _hand_layout(program):
-    # the control run reads only the two bands
-    return Layout(2, 1, tuple(program), (DOT,) * len(program), 0, 2)
+def _hand_string(program):
+    # the control run reads only the program and data bands
+    return bytes(make_cell(p, DOT, 0, 0) for p in program)
 
 
 def test_control_run_two_markers_is_a_compile_error():
-    lay = _hand_layout([BLANK, BLANK, EXEC, GATE_I, EXEC, GATE_I, BLANK, BLANK])
+    first = _hand_string([BLANK, BLANK, EXEC, GATE_I, EXEC, GATE_I, BLANK, BLANK])
     with pytest.raises(CompileError, match=r"^2 transitions apply at step 0: windows \[1, 3\]$"):
-        list(control_run(lay))
+        list(control_run(first))
 
 
 def test_control_run_without_a_signal_is_a_compile_error():
-    lay = _hand_layout([BLANK, BLANK, GATE_B, GATE_I, GATE_H, GATE_I, BLANK, BLANK])
+    first = _hand_string([BLANK, BLANK, GATE_B, GATE_I, GATE_H, GATE_I, BLANK, BLANK])
     with pytest.raises(
         CompileError, match="^no transition applies at step 0 and no termination in sight$"
     ):
-        list(control_run(lay))
+        list(control_run(first))
 
 
 def test_compile_strings_structure():
     for circuit, x, ell, d_parity, length in golden_instances():
-        lay = layout(circuit, x)
+        first = layout(circuit, x)
         inst = compile_circuit(circuit, x)
         s, t, t_prime = inst.s, inst.t, inst.t_prime
         assert len(s) == len(t) == len(t_prime) == length
-        # t and t_prime differ in exactly one cell, by the sim bit
+        # t and t_prime differ in exactly one cell, by the sim bit: the one
+        # execution marker, right of the register separator
+        block, width = _blocks(first)
+        exec_pos = 2 + (width - 1) * block + 1
+        assert [i for i, c in enumerate(first) if c >> 4 == EXEC] == [exec_pos]
         diff = [i for i in range(length) if t[i] != t_prime[i]]
-        assert diff == [lay.exec_pos]
-        pt, dt, at, st_ = split_cell(t[lay.exec_pos])
-        pp, dp, ap, sp = split_cell(t_prime[lay.exec_pos])
+        assert diff == [exec_pos]
+        pt, dt, at, st_ = split_cell(t[exec_pos])
+        pp, dp, ap, sp = split_cell(t_prime[exec_pos])
         assert (pt, dt, at) == (pp, dp, ap)
         assert (st_, sp) == (1, 0)
-        # t_prime holds the layout's bands, s its data band, both with aux and sim bits 0
-        bands = zip(lay.program, lay.data)
-        assert [split_cell(c) for c in t_prime] == [(p, d, 0, 0) for p, d in bands]
-        assert [split_cell(c)[1:] for c in s] == [(d, 0, 0) for d in lay.data]
+        # t_prime is the layout's string, s holds its data band, both with
+        # aux and sim bits 0
+        assert t_prime == first and not any(c & 3 for c in first)
+        assert [split_cell(c)[1:] for c in s] == [((c >> 2) & 3, 0, 0) for c in first]
 
 
 def test_compile_memory_does_not_grow_with_the_run():

@@ -4,7 +4,7 @@ immutability, as the plain and namedtuple classes give them."""
 import pytest
 
 from walkdelta.circuits import R2_ONE, Circuit, CircuitError, Gate, Root2Frac
-from walkdelta.clock import CompiledInstance, Layout
+from walkdelta.clock import CompiledInstance
 from walkdelta.estimator import NoisyEstimate, SpectralMeasure
 from walkdelta.rewriting import Alphabet, RewriteError, Rule, WalkVector
 from walkdelta.verifier import Check, VerificationReport
@@ -31,12 +31,6 @@ FROZEN = {
         (1, 2, 3, 4, 5, 7),
         "ScanReport(triples_total=1, windows_matched=2, directed_pairs=3, "
         "max_images=4, self_pairs=5, bidirectional=6)",
-    ),
-    Layout: (
-        "block",
-        (2, 1, (13,), (3,), 0, 1),
-        (2, 1, (13,), (3,), 0, 2),
-        "Layout(block=2, width=1, program=(13,), data=(3,), register_start=0, exec_pos=1)",
     ),
     SpectralMeasure: (
         "eigenvalues",

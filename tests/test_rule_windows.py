@@ -179,5 +179,5 @@ def test_control_run_matches_the_full_scan():
         circuit = random_circuit(rng, n, rng.randint(1, 6))
         cases.append((circuit, [rng.randint(0, 1) for _ in range(n)]))
     for circuit, x in cases:
-        lay = layout(circuit, x)
-        assert _run_to_end(control_run(lay)) == _run_to_end(full_scan_run(lay))
+        first = layout(circuit, x)
+        assert _run_to_end(control_run(first)) == _run_to_end(full_scan_run(first))
