@@ -155,6 +155,10 @@ class Circuit(namedtuple("Circuit", "n_qubits layers")):
 def validate(circuit: Circuit) -> None:
     if circuit.n_qubits < 1:
         raise CircuitError("circuit needs at least one qubit")
+    if not circuit.layers:
+        raise CircuitError("circuit has no gates")
+    if not all(circuit.layers):
+        raise CircuitError("empty layer between separators")
     for i, layer in enumerate(circuit.layers):
         used: set[int] = set()
         for gate in layer:
@@ -266,8 +270,4 @@ def parse_circuit(text: str) -> Circuit:
         raise CircuitError("missing 'qubits N' header")
     while layers and not layers[-1]:
         layers.pop()
-    if not layers:
-        raise CircuitError("circuit has no gates")
-    if any(not layer for layer in layers):
-        raise CircuitError("empty layer between separators")
     return Circuit(n_qubits, tuple(tuple(layer) for layer in layers))

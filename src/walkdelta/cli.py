@@ -11,12 +11,12 @@ code); ``main`` alone times it, prints the document and returns the code.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import spectral
 from .circuits import Circuit, CircuitError, SimulationTooLarge, parse_circuit
@@ -193,6 +193,7 @@ def _in_range(cast, low, high=math.inf):
     def parse(text: str):
         value = cast(text)
         if not low <= value <= high or value == math.inf:
+            import argparse  # only to refuse the value, as argparse reports it
             end = "]" if high < math.inf else ")"
             raise argparse.ArgumentTypeError(f"{text} is outside [{low}, {high}{end}")
         return value
@@ -200,56 +201,94 @@ def _in_range(cast, low, high=math.inf):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _commands() -> dict:
+    """Command: (function, help, options), in help order; option: (flags, type,
+    required, default, help). Built per call, so a patched ``cmd_*`` runs."""
+    return {
+        "compile": (cmd_compile, "compile a circuit to an instance file", (
+            (("--circuit",), str, True, None, None),
+            (("--input",), str, True, None, "input bits, e.g. 110"),
+            (("-o", "--out"), str, True, None, None),
+        )),
+        "delta": (cmd_delta, "walk-count difference of an instance", (
+            (("--instance",), str, True, None, None),
+            (("--steps",), int, False, None, None),
+        )),
+        "verify": (cmd_verify, "run all correctness checks on an instance", (
+            (("--instance",), str, True, None, None),
+            (("--circuit",), str, True, None, None),
+            (("--input",), str, True, None, None),
+        )),
+        "spectral": (cmd_spectral, "path-graph spectral quantities", (
+            (("--ell",), int, True, None, None),
+            (("--m",), int, True, None, None),
+        )),
+        "estimate": (cmd_estimate, "noisy spectral estimate of the sign", (
+            (("--instance",), str, True, None, None),
+            (("--m",), _in_range(int, 0), False, None, None),
+            (("--eta",), _in_range(float, 0.0, sys.float_info.max / 2), True, None, None),
+            (("--theta",), _in_range(float, 0.0, 1.0), True, None, None),
+            (("--samples",), _in_range(int, 1), True, None, None),
+            (("--seed",), _in_range(int, 0), False, 0, None),
+        )),
+    }
+
+
+def _parse_canonical(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace of ``COMMAND --option VALUE ...`` (exact option
+    names, each once, every value taken by its type and none starting with
+    ``-``); None for any other command line, left to ``build_parser``."""
+    commands = _commands()
+    if not argv or argv[0] not in commands or len(argv) % 2 == 0:
+        return None
+    func, _, options = commands[argv[0]]
+    by_flag = {flag: (flags[-1][2:], cast) for flags, cast, *_ in options for flag in flags}
+    args = {flags[-1][2:]: default for flags, _, _, default, _ in options}
+    given = set()
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        dest, cast = by_flag.get(flag, (None, None))
+        if dest is None or dest in given or text.startswith("-"):
+            return None
+        given.add(dest)
+        try:
+            args[dest] = cast(text)
+        except Exception:  # argparse reports it, or raises it again
+            return None
+    if any(required and flags[-1][2:] not in given for flags, _, required, *_ in options):
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **args)
+
+
+def build_parser():
+    """The argparse parser of the command table: help, errors and the command
+    lines ``_parse_canonical`` declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="walkdelta",
         description="Compile circuits to rewriting systems and decide walk-count signs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compile", help="compile a circuit to an instance file")
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--input", required=True, help="input bits, e.g. 110")
-    p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=cmd_compile)
-
-    p = sub.add_parser("delta", help="walk-count difference of an instance")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--steps", type=int, default=None)
-    p.set_defaults(func=cmd_delta)
-
-    p = sub.add_parser("verify", help="run all correctness checks on an instance")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("spectral", help="path-graph spectral quantities")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_spectral)
-
-    p = sub.add_parser("estimate", help="noisy spectral estimate of the sign")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--m", type=_in_range(int, 0), default=None)
-    p.add_argument("--eta", type=_in_range(float, 0.0, sys.float_info.max / 2), required=True)
-    p.add_argument("--theta", type=_in_range(float, 0.0, 1.0), required=True)
-    p.add_argument("--samples", type=_in_range(int, 1), required=True)
-    p.add_argument("--seed", type=_in_range(int, 0), default=0)
-    p.set_defaults(func=cmd_estimate)
+    for command, (func, summary, options) in _commands().items():
+        p = sub.add_parser(command, help=summary)
+        for flags, cast, required, default, text in options:
+            p.add_argument(*flags, type=cast, required=required, default=default, help=text)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # exact integers print in full
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code not in (0, None):
-            return EXIT_PARSE
-        return _print_flushed("", EXIT_OK)  # --help: argparse wrote the text
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_canonical(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code not in (0, None):
+                return EXIT_PARSE
+            return _print_flushed("", EXIT_OK)  # --help: argparse wrote the text
     t0 = time.perf_counter()
     try:
         inputs, outputs, passed, code = args.func(args)

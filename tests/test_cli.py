@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import errno
+import io
 import json
 import math
 import os
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import walkdelta
 from walkdelta import cli, clock, estimator, spectral, verifier
@@ -685,6 +688,107 @@ def test_commands_register_no_atexit_callback(workspace, tmp_path, command):
     # -S keeps out site's .pth files, which may register their own
     argv = _command_argv(workspace, tmp_path, command)
     _run_command_then(argv, "import atexit; n = atexit._ncallbacks(); assert n == 0, n", "-S")
+
+
+@pytest.mark.parametrize("command", ["compile", "delta", "verify", "spectral", "estimate"])
+def test_canonical_commands_leave_argparse_and_gettext_unloaded(workspace, tmp_path, command):
+    # importing argparse (with gettext) and building its six parsers cost each
+    # process about 4 ms of start-up; the command table parses this form alone
+    argv = _command_argv(workspace, tmp_path, command)
+    check = "bad = {'argparse', 'gettext'} & set(sys.modules); assert not bad, bad"
+    _run_command_then(argv, check, "-S")
+
+
+def _argparse_result(argv):
+    """argparse's namespace of ``argv`` as a dict, or None where it exits
+    (help or an error), with what it writes swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_canonical_command_lines_parse_as_argparse_does(workspace, tmp_path):
+    # every command, the short flag -o, every option of estimate, any order
+    lines = [_command_argv(workspace, tmp_path, c) for c in cli._commands()]
+    lines.append(["compile", "-o", "i.json", "--input", "0", "--circuit", "h.txt"])
+    estimate = ["--seed", "7", "--samples", "1", "--theta", "1", "--eta", "0", "--m", "0"]
+    lines.append(["estimate", *estimate, "--instance", "i"])
+    for argv in lines:
+        args = cli._parse_canonical(argv)
+        assert args is not None, argv
+        assert vars(args) == _argparse_result(argv)
+
+
+# each in range for every option, and each option's type takes it
+VALUES = ["1", " 1", "01", "0_1", "+1"]
+EDITS = [
+    "none", "abbreviate", "unknown", "equals", "repeat", "dash-value",
+    "missing", "extra", "global", "bad-value", "attached",
+]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line of the table with its required options and some of
+    the others, in any order, then at most one edit that argparse must judge."""
+    command = draw(st.sampled_from(list(cli._commands())))
+    argv = [command]
+    for flags, _, required, *_ in draw(st.permutations(cli._commands()[command][2])):
+        if required or draw(st.booleans()):
+            argv += [draw(st.sampled_from(flags)), draw(st.sampled_from(VALUES))]
+    edit = draw(st.sampled_from(EDITS))
+    i = draw(st.sampled_from(range(1, len(argv) - 1, 2)))  # an option's flag
+    flag, value = argv[i : i + 2]
+    if edit == "abbreviate" and len(flag) > 3:  # --i is ambiguous in verify
+        argv[i] = flag[: draw(st.sampled_from([3, len(flag) - 1]))]
+    elif edit == "unknown":
+        argv[i:i] = ["--bogus", "1"]
+    elif edit == "equals":
+        argv[i : i + 2] = [f"{flag}={value}"]
+    elif edit == "repeat":  # with another value
+        argv += [flag, draw(st.sampled_from(VALUES))]
+    elif edit == "dash-value":
+        argv[i + 1] = draw(st.sampled_from(["-5", "-1", "-h", "--help", "--", "-x"]))
+    elif edit == "missing":
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif edit == "extra":
+        argv.insert(draw(st.integers(1, len(argv))), "extra")
+    elif edit == "global":
+        argv.insert(0, "--schema-version=x")
+    elif edit == "bad-value":
+        argv[i + 1] = draw(st.sampled_from(["0", "2", "inf", "nan", "1e308", "0x10", "x", ""]))
+    elif edit == "attached":  # -oOUT, or a near miss
+        argv[i : i + 2] = ["-o" + value] if flag in ("-o", "--out") else [flag + "s", value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_command_lines())
+def test_command_table_declines_or_agrees_with_argparse(argv):
+    args = cli._parse_canonical(argv)
+    assert args is None or vars(args) == _argparse_result(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["delta", "--help"],
+        ["verify", "--in", "x"],
+        ["delta", "--instance", "x.json", "--steps=x"],
+        ["estimate", "--instance", "x.json", "--eta", "0", "--theta", "0", "--samples", "1", "--m", "-1"],
+        ["spectral", "--ell", "2", "--m", "1", "--m", "x"],
+    ],
+    ids=["help", "delta-help", "ambiguous-abbreviation", "equals-bad-int", "m-out-of-range", "repeat"],
+)
+def test_declined_command_lines_print_what_argparse_prints(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert cli.main(argv) == (2 if exc.value.code else 0)
+    assert capsys.readouterr() == want
 
 
 def test_estimate_takes_no_dense_eigh(workspace, capsys, monkeypatch):

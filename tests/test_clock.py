@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walkdelta import clock, verifier
-from walkdelta.circuits import parse_circuit
+from walkdelta.circuits import Circuit, CircuitError, parse_circuit
 from walkdelta.clock import (
     ALPHABET_SIZE,
     BLANK,
@@ -385,6 +385,20 @@ def test_control_run_margins_stay_blank():
 def _hand_string(program):
     # the control run reads only the program and data bands
     return bytes(make_cell(p, DOT, 0, 0) for p in program)
+
+
+@pytest.mark.parametrize(
+    "layers, message",
+    [((), "circuit has no gates"), (((),), "empty layer between separators")],
+    ids=["no-layers", "one-empty-layer"],
+)
+def test_compile_refuses_a_circuit_without_gates(layers, message):
+    # _make builds the record without its validating __init__, as a circuit
+    # handed over from elsewhere may be: compile_circuit validates it again
+    # rather than fail in layout (an IndexError, or a misleading stuck run)
+    circuit = Circuit._make((1, layers))
+    with pytest.raises(CircuitError, match=f"^{message}$"):
+        compile_circuit(circuit, [0])
 
 
 def test_control_run_two_markers_is_a_compile_error():

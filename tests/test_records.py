@@ -103,6 +103,9 @@ def test_records_keep_equality_hash_repr_and_immutability(cls):
         (lambda: Gate("cnot", 0), CircuitError, "unknown gate kind 'cnot'"),
         (lambda: Gate("h", -1), CircuitError, "negative qubit index -1"),
         (lambda: Circuit(0, ((),)), CircuitError, "at least one qubit"),
+        (lambda: Circuit(1, ()), CircuitError, "^circuit has no gates$"),
+        (lambda: Circuit(1, ((),)), CircuitError, "^empty layer between separators$"),
+        (lambda: Circuit(1, ((H0,), ())), CircuitError, "^empty layer between separators$"),
         (lambda: Circuit(2, ((Gate("h", 0), Gate("swap", 0)),)), CircuitError, "overlapping gates"),
         (lambda: Circuit(1, ((Gate("swap", 0),),)), CircuitError, "exceeds 1 qubits"),
         (lambda: Alphabet(()), RewriteError, "at least one token"),
