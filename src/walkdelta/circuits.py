@@ -1,8 +1,9 @@
 """Exact simulation of small {Hadamard, Swap, Toffoli} circuits.
 
-Amplitudes produced by these gates on basis-state inputs always lie in
-Z[sqrt(2)] / 2^e, so the simulator works in exact arithmetic. The state is
-sparse: k Hadamards give at most 2^k amplitudes, whatever the width.
+On a basis-state input, every amplitude after h Hadamards is an integer over
+sqrt(2)^h, so the simulator moves integers and divides by sqrt(2)^h once, at
+the end; results lie in Z[sqrt(2)] / 2^e. The state is sparse: k Hadamards
+give at most 2^k amplitudes, whatever the width.
 """
 
 from __future__ import annotations
@@ -173,39 +174,6 @@ def validate(circuit: Circuit) -> None:
             used |= span
 
 
-def _apply_gate_exact(gate: Gate, state: dict[int, Root2Frac]) -> dict[int, Root2Frac]:
-    out: dict[int, Root2Frac] = {}
-
-    def add(idx: int, amp: Root2Frac) -> None:
-        cur = out.get(idx)
-        total = amp if cur is None else cur + amp
-        if total.is_zero():
-            out.pop(idx, None)
-        else:
-            out[idx] = total
-
-    q = gate.qubit
-    for idx, amp in state.items():
-        if gate.kind == "h":
-            bit = (idx >> q) & 1
-            add(idx & ~(1 << q), amp * R2_INV_SQRT2)
-            flip_amp = amp * R2_INV_SQRT2
-            add(idx | (1 << q), -flip_amp if bit else flip_amp)
-        elif gate.kind == "swap":
-            b0 = (idx >> q) & 1
-            b1 = (idx >> (q + 1)) & 1
-            new = idx & ~(1 << q) & ~(1 << (q + 1))
-            new |= b1 << q
-            new |= b0 << (q + 1)
-            add(new, amp)
-        else:  # toffoli
-            if (idx >> q) & 1 and (idx >> (q + 1)) & 1:
-                add(idx ^ (1 << (q + 2)), amp)
-            else:
-                add(idx, amp)
-    return out
-
-
 def apply(circuit: Circuit, bits: Sequence[int]) -> dict[int, Root2Frac]:
     """Exact state after the circuit on basis input |bits>.
 
@@ -216,14 +184,34 @@ def apply(circuit: Circuit, bits: Sequence[int]) -> dict[int, Root2Frac]:
         raise CircuitError(f"expected {circuit.n_qubits} input bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
         raise CircuitError("input bits must be 0 or 1")
-    idx = sum(b << q for q, b in enumerate(bits))
-    state: dict[int, Root2Frac] = {idx: R2_ONE}
+    state = {sum(b << q for q, b in enumerate(bits)): 1}
+    h = 0
     for layer in circuit.layers:
         for gate in layer:
-            state = _apply_gate_exact(gate, state)
+            q = gate.qubit
+            if gate.kind == "h":
+                h += 1
+                out: dict[int, int] = {}
+                for idx, a in state.items():
+                    low, high = idx & ~(1 << q), idx | (1 << q)
+                    out[low] = out.get(low, 0) + a
+                    out[high] = out.get(high, 0) + (-a if idx == high else a)
+                state = {idx: a for idx, a in out.items() if a}
+            elif gate.kind == "swap":
+                state = {
+                    idx & ~(3 << q) | (idx >> q & 1) << (q + 1) | (idx >> (q + 1) & 1) << q: a
+                    for idx, a in state.items()
+                }
+            else:  # toffoli
+                state = {
+                    idx ^ (1 << (q + 2)) if idx >> q & 3 == 3 else idx: a
+                    for idx, a in state.items()
+                }
             if len(state) > MAX_AMPLITUDES:
                 raise SimulationTooLarge(f"state exceeds {MAX_AMPLITUDES} amplitudes")
-    return state
+    # a / sqrt(2)^h is a / 2^(h/2) for even h and a sqrt(2) / 2^((h+1)/2) for odd h
+    odd = h % 2
+    return {idx: Root2Frac.make(a - a * odd, a * odd, (h + 1) // 2) for idx, a in state.items()}
 
 
 def overlap(circuit: Circuit, bits: Sequence[int]) -> Root2Frac:

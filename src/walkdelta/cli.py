@@ -93,7 +93,12 @@ def cmd_compile(args) -> tuple[dict, dict, bool | None, int]:
     except (CompileError, spectral.SpectralError) as exc:
         raise ResourceFailure(str(exc))
     vertices = component_size(instance.system, [instance.s, instance.t, instance.t_prime])
-    instance.save(args.out)
+    fh = open(args.out, "w")  # a path that cannot be opened is a parse error
+    try:
+        with fh:
+            fh.write(json.dumps(instance.to_json()) + "\n")
+    except OSError as exc:  # a full disk; the path stays, as it may be a device
+        raise ResourceFailure(f"cannot write the instance file: {exc}") from None
     outputs = {
         "out": args.out,
         "ell": instance.ell,

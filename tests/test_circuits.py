@@ -1,5 +1,9 @@
+import importlib.util
 import math
 import random
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,6 +189,30 @@ def test_exact_matches_float():
             a = exact.get(idx, R2_ZERO).to_float()
             b = approx.get(idx, 0.0)
             assert abs(a - b) < 1e-12
+
+
+def _bench_reference():
+    """bench/reference.py, loaded by path; it imports nothing from walkdelta."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks the module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_overlap_matches_the_dense_reference():
+    # exact equality with an independent dense simulation in Q(sqrt 2),
+    # inputs shorter than the width included
+    reference = _bench_reference()
+    rng = random.Random(36)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        c = random_circuit(rng, n, rng.randint(1, 6))
+        bits = [rng.randint(0, 1) for _ in range(rng.randint(1, n))]
+        ov = overlap(c, bits)
+        want = reference.return_amplitude(n, c.layers, "".join(map(str, bits)))
+        assert (Fraction(ov.a, 1 << ov.e), Fraction(ov.b, 1 << ov.e)) == (want.a, want.b)
 
 
 def test_overlap_single_h():

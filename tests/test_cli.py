@@ -1169,6 +1169,19 @@ def test_process_unwritable_stdout_exit_3(workspace, sink, size):
     assert proc.stderr == f"resource error: cannot write the result: {reason}\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_instance_file_on_a_full_disk_exit_3(workspace, capsys):
+    # opening succeeds, writing fails: a resource error, and the path stays
+    _, circuit, _ = workspace
+    argv = ["compile", "--circuit", str(circuit), "--input", "0", "-o", "/dev/full"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = _oserror(errno.ENOSPC)
+    assert captured.err == f"resource error: cannot write the instance file: {reason}\n"
+    assert os.path.exists("/dev/full")
+
+
 class _BrokenPipe:
     def write(self, text):
         raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from collections import Counter
 from itertools import islice
 from types import SimpleNamespace
@@ -16,7 +17,16 @@ from walkdelta.circuits import (
     overlap,
     parse_circuit,
 )
-from walkdelta.clock import ClockSystem, CompiledInstance, compile_circuit, forward_images
+from walkdelta.clock import (
+    BLANK,
+    DOT,
+    ClockSystem,
+    CompiledInstance,
+    compile_circuit,
+    forward_images,
+    make_cell,
+)
+from walkdelta.estimator import estimate_with_noise
 from walkdelta.rewriting import (
     Alphabet,
     RewriteError,
@@ -37,6 +47,7 @@ from walkdelta.verifier import (
 )
 
 from oracles import brute_force_count, count_walks
+from test_circuits import random_circuit
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +191,57 @@ def test_three_term_orbit_is_forward_orbit(text, x):
     orbit = list(islice(verifier.orbit(inst), inst.ell + 1))
     assert len(orbit) == inst.ell
     assert orbit == integer_orbit(inst)
+
+
+def test_orbit_reads_the_simulator_on_random_circuits():
+    # the compiled orbit against the circuit simulator: ell vectors, sigma_j =
+    # w_j[s] zero below ell - 1, and the master identity at n = ell - 1,
+    # sigma_(ell-1) sqrt(2)^(1+d) = -ov sqrt(2)^ell, exactly in Z[sqrt 2]
+    rng = random.Random(2026)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(1, 4)
+        circuit = random_circuit(rng, n, rng.randint(1, 4))
+        x = [rng.randint(0, 1) for _ in range(n)]
+        inst = compile_circuit(circuit, x)
+        if inst.ell > 1000:
+            continue
+        sigma = [w.get(inst.s, 0) for w in islice(verifier.orbit(inst), inst.ell + 1)]
+        assert len(sigma) == inst.ell
+        assert not any(sigma[:-1])
+        lhs = Root2Frac(sigma[-1], 0, 0) * sqrt2_power(1 + inst.d_parity)
+        assert lhs == -overlap(circuit, x) * sqrt2_power(inst.ell), (circuit, x)
+        checked += 1
+
+
+@pytest.mark.parametrize(
+    "text, x",
+    [
+        ("qubits 1\nh 0", [0]),
+        ("qubits 3\ntoffoli 0", [1, 1, 0]),
+        ("qubits 2\nh 0\n---\nswap 0", [0, 0]),
+    ],
+)
+def test_inert_padding_changes_no_answer(text, x):
+    # margin cells added on both ends of s, t and t' are never rewritten, so
+    # the report, the deltas and the estimate stay as they were
+    circuit = parse_circuit(text)
+    inst = compile_circuit(circuit, x)
+    ell = inst.ell
+
+    def answers(pad: bytes):
+        ends = {key: pad + getattr(inst, key) + pad for key in ("s", "t", "t_prime")}
+        padded = inst._replace(system=ClockSystem(), **ends)
+        return (
+            verify(padded, circuit, x).to_json(),
+            exact_deltas(padded, ell + 5),
+            [exact_delta(padded, n) for n in (ell - 1, ell + 1, 2 * ell + 3)],
+            estimate_with_noise(padded, padded.m, 1e-9, 1e-3, 40000, seed=0),
+        )
+
+    margin = bytes([make_cell(BLANK, DOT, 0, 0)])
+    assert margin == b"\xdc"
+    assert answers(margin * 1000) == answers(b"")
 
 
 def test_exact_delta_cost_does_not_grow_with_n(h_setup, monkeypatch):
