@@ -90,21 +90,10 @@ class Root2Frac:
         return self.a == 0 and self.b == 0
 
     def sign(self) -> int:
-        """Sign of the real value, exactly."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with 2 b^2; sqrt(2) is irrational so
-        # equality cannot occur for nonzero integers
-        if a > 0:
-            return 1 if a * a > 2 * b * b else -1
-        return -1 if a * a > 2 * b * b else 1
+        """Sign of the real value, exactly: that of a when a^2 > 2 b^2, else
+        that of b (sqrt(2) is irrational, so a^2 = 2 b^2 only at zero)."""
+        x = self.a if self.a * self.a > 2 * self.b * self.b else self.b
+        return (x > 0) - (x < 0)
 
     def to_float(self) -> float:
         return (self.a + self.b * math.sqrt(2)) / (1 << self.e)

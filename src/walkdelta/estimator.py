@@ -10,9 +10,9 @@ All moment values are reported in units of c^m. At gap-condition walk lengths
 c^m overflows any float, while the normalized quantities (lambda/c)^m stay
 inside [-1, 1] by the growth promise.
 
-``estimate_with_noise`` forms the two measures from the orbit of e_t - e_t',
-generated from the rewriting system, and a Gauss rule over the component of
-s, t and t', which it holds only as positions and a 0/1 edge list
+``estimate_with_noise`` searches the component of s, t and t' once, holds it
+as positions and a 0/1 edge list, and forms the two measures from the orbit
+of e_t - e_t' and a Gauss rule, both on that edge list
 (``orbit_measures``); ``spectral_measure``, one dense eigh of the whole
 component, is the reference the tests compare it with. Both measures are
 discrete, so ``noisy_estimate`` draws its samples per atom: a multinomial
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections import namedtuple
+from itertools import accumulate
 
 import numpy as np
 
@@ -183,11 +184,12 @@ def orbit_measures(
     """The spectral measures of psi+- = (e_s +- u_0) / sqrt(2), without the
     eigendecomposition of the component, and the number of Gauss nodes.
 
-    The orbit w_j of e_t - e_t' (``verifier.orbit``) gives
-    u_j = w_j / sqrt(2)^(j+1). Its supports must be disjoint and
-    |w_j|^2 = 2^(j+1) (``verifier.orthonormality_fault``): the u_j are then
-    orthonormal, and the orbit stops inside the finite component, after ell
-    neighbour generations on a compiled instance. By the recurrence
+    The orbit w_j of e_t - e_t' (``verifier.orbit``), by position over the
+    rows of the component's edge list, gives u_j = w_j / sqrt(2)^(j+1). Its
+    supports must be disjoint and |w_j|^2 = 2^(j+1)
+    (``verifier.orthonormality_fault``): the u_j are then orthonormal, and
+    the orbit stops inside the finite component, after ell vectors on a
+    compiled instance. By the recurrence
     A u_j = sqrt(2) (u_(j-1) + u_(j+1)), so their span W and its complement are
     A-invariant, and A acts on W as sqrt(2) times the adjacency P of the
     k-vertex path. With a_j = <s|u_j> and r = e_s - sum_j a_j u_j in the
@@ -199,11 +201,13 @@ def orbit_measures(
     so their difference has no remainder term.
     """
     _check_endpoints(instance)
-    s = instance.s
+    s, t, t_prime = (graph.index[x] for x in (instance.s, instance.t, instance.t_prime))
+    starts, cols = [0, *accumulate(graph.counts)], graph.cols
     # (j, w_j) for the one support that holds s, if any: the supports being
     # disjoint, a_j is zero for every other j
     k, hit, seen = 0, None, set()
-    for j, w in enumerate(orbit(instance)):
+    walk = orbit({t: 1, t_prime: -1}, lambda i: cols[starts[i] : starts[i + 1]])
+    for j, w in enumerate(walk):
         if fault := orthonormality_fault(j, w, seen):
             raise EstimateError(fault)
         if s in w:
@@ -213,13 +217,13 @@ def orbit_measures(
     first = _path_eigvec_entries(k, 0)
     proj = np.zeros(k)  # q_i . a for every i
     remainder = np.zeros(len(graph))
-    remainder[graph.index[s]] = 1.0
+    remainder[s] = 1.0
     if hit is not None:
         j, w = hit
         a = _unit_entry(w[s], j)
         proj = a * _path_eigvec_entries(k, j)
         for x, c in w.items():
-            remainder[graph.index[x]] -= a * _unit_entry(c, j)
+            remainder[x] -= a * _unit_entry(c, j)
     nodes, weights = gauss_rule(_adjacency_operator(graph), remainder)
     eigenvalues = np.concatenate([_path_spectrum(k), nodes])
     half = weights / 2
@@ -255,10 +259,11 @@ def clipped_powers(x: np.ndarray, m: int, c: float) -> np.ndarray:
 
 
 def hoeffding_samples(eps: float) -> int:
-    """Samples per state so the half-width is eps/2 (in units of c^m)."""
+    """Samples per state so the difference's half-width, sqrt(2) times one
+    state's, is eps/4 (in units of c^m)."""
     if not 0 < eps:
         raise EstimateError("need eps > 0")
-    return math.ceil((8.0 / eps**2) * math.log(2.0 / HOEFFDING_DELTA))
+    return math.ceil((64.0 / eps**2) * math.log(2.0 / HOEFFDING_DELTA))
 
 
 def hoeffding_halfwidth(samples: int) -> float:
@@ -267,12 +272,15 @@ def hoeffding_halfwidth(samples: int) -> float:
 
 
 def plan_noise(eps: float, m: int, c: float) -> tuple[float, float]:
-    """Noise magnitude eta and adversarial rate theta with bias <= eps c^m / 2.
+    """Noise magnitude eta and adversarial rate theta whose bias on the
+    difference is at most eps c^m / 4.
 
-    The bias of the clipped estimator is at most eta m c^(m-1) + 2 c^m theta;
-    splitting the budget evenly gives eta = eps c / (4 m), theta = eps / 8.
+    One clipped moment's bias is at most eta m c^(m-1) + 2 c^m theta, and
+    the difference's sqrt(2) times that; splitting eps/4 evenly gives
+    eta = eps c / (8 sqrt(2) m), theta = eps / (16 sqrt(2)). With
+    ``hoeffding_samples(eps)`` samples the error bound is at most eps/2.
     """
-    return eps * c / (4.0 * m), eps / 8.0
+    return eps * c / (8.0 * SQRT2 * m), eps / (16.0 * SQRT2)
 
 
 def bias_bound(eta: float, theta: float, m: int, c: float) -> float:

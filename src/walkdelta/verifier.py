@@ -259,20 +259,21 @@ def exact_deltas(
     return deltas
 
 
-def orbit(instance: CompiledInstance) -> Iterator[dict]:
-    """The three-term orbit w_0 = e_t - e_t', w_{j+1} = A w_j - 2 w_{j-1}.
+def orbit(start: dict, neighbors) -> Iterator[dict]:
+    """The three-term orbit w_0 = start, w_{j+1} = A w_j - 2 w_{j-1}.
 
-    Yields each w_j, keyed by string, until the next one is zero; A w_j is
-    formed from ``weighted_neighbors`` only when w_{j+1} is asked for, and
-    nothing is cached: the orbit never revisits a vector, and only w_{j-1}
-    and w_j are held. On a compiled instance this is the forward orbit of
-    ``orbit_check``, of ell vectors. ``exact_delta`` reads w_j[s] from it,
-    and the estimator its span.
+    Yields each w_j until the next one is zero; A w_j is formed from
+    ``neighbors`` (``three_term``) only when w_{j+1} is asked for, and only
+    w_{j-1} and w_j are held. The caller owns the graph: ``exact_delta``
+    passes e_t - e_t' and the rewriting system's neighbours, uncached, as
+    the orbit never revisits a vector; the estimator passes positions and
+    the rows of the edge list it already searched. On a compiled instance
+    this is the forward orbit of ``orbit_check``, of ell vectors.
     """
-    w, prev = _difference(instance), {}
+    w, prev = start, {}
     while w:
         yield w
-        prev, w = w, three_term(w, prev, instance.system.weighted_neighbors)
+        prev, w = w, three_term(w, prev, neighbors)
 
 
 def exact_delta(instance: CompiledInstance, n: int) -> int:
@@ -292,7 +293,8 @@ def exact_delta(instance: CompiledInstance, n: int) -> int:
     steps on integers of at most n bits.
     """
     _check_walk(n, instance.s, instance.t, instance.t_prime)
-    sigma = [w.get(instance.s, 0) for w in islice(orbit(instance), n + 1)]
+    walk = orbit(_difference(instance), instance.system.weighted_neighbors)
+    sigma = [w.get(instance.s, 0) for w in islice(walk, n + 1)]
     k = len(sigma)
     if k <= 1:
         return sigma[0] if k and n == 0 else 0

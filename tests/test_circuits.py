@@ -45,6 +45,20 @@ class TestRoot2Frac:
         assert Root2Frac(-3, 2, 0).sign() == -1
         assert R2_ZERO.sign() == 0
 
+    def test_sign_of_pell_pairs(self):
+        # p - q sqrt(2) with p^2 - 2 q^2 = +-1 is +-1 / (p + q sqrt(2)), below
+        # 1e-60 at the last pair, far past what a float can tell from zero;
+        # its sign is that of p^2 - 2 q^2
+        p, q, pairs = 1, 1, 0
+        while p < 10**60:
+            norm = p * p - 2 * q * q
+            assert norm in (1, -1)
+            assert Root2Frac(p, -q, 0).sign() == norm
+            assert Root2Frac(-p, q, 0).sign() == -norm
+            assert Root2Frac(p, q, 0).sign() == 1
+            p, q, pairs = p + 2 * q, p + q, pairs + 1
+        assert pairs == 157
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(0, 6))
     def test_sign_matches_float(self, a, b, e):

@@ -1,11 +1,12 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from walkdelta import spectral, verifier
 from walkdelta.circuits import overlap, parse_circuit
-from walkdelta.clock import ClockSystem, compile_circuit
+from walkdelta.clock import ClockSystem, CompiledInstance, compile_circuit
 from walkdelta.estimator import (
     QUADRATURE_NODES,
     EstimateError,
@@ -137,12 +138,12 @@ def test_delta_moment_at_gap_walk_length(h_measures):
 
 
 def test_hoeffding_samples():
-    assert hoeffding_samples(1.0) == 30
-    assert hoeffding_samples(0.5) == 119
-    # half-width from that sample count meets the target
+    assert hoeffding_samples(1.0) == 237
+    assert hoeffding_samples(0.5) == 945
+    # the difference's half-width from that sample count meets the target
     for eps in (1.0, 0.25):
         n = hoeffding_samples(eps)
-        assert hoeffding_halfwidth(n) <= eps / 2 + 1e-12
+        assert math.sqrt(2.0) * hoeffding_halfwidth(n) <= eps / 4 + 1e-12
 
 
 def test_hoeffding_rejects_bad_arguments():
@@ -154,6 +155,12 @@ def test_plan_noise_budget():
     eps, m, c = 0.5, 1001, 2.8
     eta, theta = plan_noise(eps, m, c)
     assert bias_bound(eta, theta, m, c) <= eps / 2 + 1e-12
+    # the planned difference: sqrt(2) (bias + half-width) within eps/2
+    measure = SpectralMeasure(np.array([2.5]), np.array([1.0]))
+    for eps in (1.0, 0.5, 0.1):
+        eta, theta = plan_noise(eps, m, c)
+        est = noisy_estimate(measure, measure, m, c, eta, theta, hoeffding_samples(eps))
+        assert est.error_bound <= eps / 2
 
 
 def test_noiseless_estimate_converges(h_measures):
@@ -242,11 +249,17 @@ def test_estimates_have_the_multinomial_mean_and_variance(h_orbit_measures):
     assert 0.7 <= values.var(ddof=1) / var <= 1.3
 
 
+def string_orbit(inst):
+    """The three-term orbit of e_t - e_t' over the rewriting system's
+    neighbours, as exact_delta takes it."""
+    return verifier.orbit({inst.t: 1, inst.t_prime: -1}, inst.system.weighted_neighbors)
+
+
 def test_closure_and_orbit_each_generate_their_neighbourhoods(monkeypatch):
-    # the closure generates the neighbours of each of its 2,016 strings once,
-    # and the orbit those of each of its 1,260 support strings once more, as
-    # it does for exact_delta: the closure keeps positions, not strings
-    inst = compile_circuit(parse_circuit("qubits 2\nh 0\n---\nswap 0"), [0, 0])
+    # estimate generates the neighbours of each string of the component once,
+    # in its closure, and takes the orbit over the closure's edge list;
+    # exact_delta generates those of each of the orbit's support strings, in
+    # orbit order
     calls = []
     weighted_neighbors = ClockSystem.weighted_neighbors
 
@@ -254,26 +267,33 @@ def test_closure_and_orbit_each_generate_their_neighbourhoods(monkeypatch):
         calls.append(s)
         return weighted_neighbors(system, s)
 
-    support = [s for w in verifier.orbit(inst) for s in w]
-    monkeypatch.setattr(ClockSystem, "weighted_neighbors", counted)
-    _, _, vertices, nodes = estimate_with_noise(inst, inst.m, 0.0, 0.0, 100)
-    assert (vertices, nodes, len(support)) == (2016, QUADRATURE_NODES, 1260)
-    assert len(calls) == 2016 + 1260
-    assert len(set(calls[:2016])) == 2016 and calls[2016:] == support
-    del calls[:]
-    verifier.exact_delta(inst, inst.ell)
-    assert calls == support
-    plus, _, _ = orbit_measures(inst, reachable_component(inst))
-    assert len(plus.eigenvalues) == inst.ell + QUADRATURE_NODES
+    cases = [
+        ("qubits 1\nh 0", [0], 512, 288),
+        ("qubits 2\nh 0\n---\nswap 0", [0, 0], 2016, 1260),
+    ]
+    for text, x, vertices, support_size in cases:
+        inst = compile_circuit(parse_circuit(text), x)
+        support = [s for w in string_orbit(inst) for s in w]
+        with monkeypatch.context() as patch:
+            patch.setattr(ClockSystem, "weighted_neighbors", counted)
+            del calls[:]
+            got = estimate_with_noise(inst, inst.m, 0.0, 0.0, 100)[2:]
+            assert (*got, len(support)) == (vertices, QUADRATURE_NODES, support_size)
+            assert len(calls) == len(set(calls)) == vertices
+            del calls[:]
+            verifier.exact_delta(inst, inst.ell)
+            assert calls == support
+        plus, _, _ = orbit_measures(inst, reachable_component(inst))
+        assert len(plus.eigenvalues) == inst.ell + QUADRATURE_NODES
 
 
 @pytest.mark.slow
 def test_planned_noise_moves_the_estimate_at_ell_704():
-    # eta = eps c / (4 m) is 2.7e-17 here, below ulp(c); a sample kept as
-    # the float lam + delta would lose it, and the estimate would equal the
-    # noiseless one at the same seed. 10^10 samples put about 160 and 440
-    # on the top atom, lam = c, whose clipped power the offsets move by up
-    # to m eta / c = eps / 4
+    # eta = eps c / (8 sqrt(2) m) is 9.5e-18 here, below ulp(c); a sample
+    # kept as the float lam + delta would lose it, and the estimate would
+    # equal the noiseless one at the same seed. 10^10 samples put about 160
+    # and 440 on the top atom, lam = c, whose clipped power the offsets move
+    # by up to m eta / c = eps / (8 sqrt(2))
     inst = compile_circuit(parse_circuit("qubits 3\nh 0\n---\nh 1\n---\ntoffoli 0"), [0, 0, 0])
     plus, minus, _ = orbit_measures(inst, reachable_component(inst))
     eta, _ = plan_noise(inst.epsilon, inst.m, inst.c)
@@ -416,11 +436,41 @@ def test_triangle_measure_by_hand():
 # -- the orbit measures against the dense oracle ------------------------------
 
 
+def binary_trees() -> dict:
+    """Two depth-3 binary trees, one letter per node, named by the path from
+    the root: t and t' are the roots "a" and "b", and s = "a01" is inside
+    t's tree, so the orbit of e_t - e_t' (a level of each tree at a time,
+    four vectors) holds s at j = 2."""
+    nodes = [root + "".join(p) for root in "ab" for d in range(4) for p in product("01", repeat=d)]
+    rules = [[[x[:-1]], [x]] for x in nodes if len(x) > 1]
+    system = {"alphabet": nodes, "window": 1, "rules": rules}
+    return {"system": system, "s": ["a01"], "t": ["a"], "t_prime": ["b"], "m": 8, "c": 3.0}
+
+
+def test_orbit_measures_on_explicit_rules():
+    # the orbit by position on a system that is not compiled: the component
+    # of 30 vertices spends its Krylov space, so every moment is exact
+    inst = CompiledInstance.from_json(binary_trees())
+    graph = reachable_component(inst)
+    plus, minus, nodes = orbit_measures(inst, graph)
+    assert (len(graph), len(plus.eigenvalues) - nodes) == (30, 4)
+    dense = [spectral_measure(graph, state) for state in build_states(inst)]
+    for got, want in zip((plus, minus), dense):
+        np.testing.assert_allclose(
+            moments(got, 16, inst.c), moments(want, 16, inst.c), rtol=0, atol=1e-12
+        )
+    deltas = verifier.exact_deltas(inst, 12)
+    assert deltas[8] > 0
+    for m in range(13):
+        got = delta_moment(plus, minus, m, inst.c)
+        assert got == pytest.approx(deltas[m] / inst.c**m, rel=1e-9, abs=1e-12)
+
+
 def remainder_state(inst, graph) -> dict:
     """Oracle: e_s - sum_j <s|u_j> u_j for the orbit u_j = w_j / sqrt(2)^(j+1),
     as a state keyed by string."""
     r = {inst.s: 1.0}
-    for j, w in enumerate(verifier.orbit(inst)):
+    for j, w in enumerate(string_orbit(inst)):
         scale = math.sqrt(2.0) ** (j + 1)
         a = w.get(inst.s, 0) / scale
         for key, c in w.items():
